@@ -112,6 +112,8 @@ func runPartition(k int, inputPath string, meshNodes int, names []string, cfg be
 		res.Partition.StitchSeconds = 0
 		for i := range res.Partition.Parts {
 			res.Partition.Parts[i].Seconds = 0
+			res.Partition.Parts[i].MIGSeconds = 0
+			res.Partition.Parts[i].AIGSeconds = 0
 		}
 	}
 
@@ -130,5 +132,11 @@ func runPartition(k int, inputPath string, meshNodes int, names []string, cfg be
 		res.K, res.Jobs, res.Cut, res.MIGWindows, res.AIGWindows)
 	fmt.Printf("  %.2fs total (partition %.2fs, stitch %.2fs)\n",
 		res.Seconds, rep.PartitionSeconds, rep.StitchSeconds)
+	var migLeg, aigLeg float64
+	for _, p := range rep.Parts {
+		migLeg += p.MIGSeconds
+		aigLeg += p.AIGSeconds
+	}
+	fmt.Printf("  window legs: mig %.2fs, aig %.2fs (summed over windows)\n", migLeg, aigLeg)
 	fmt.Printf("  out sha256 %s\n", res.OutSHA256)
 }

@@ -122,6 +122,14 @@
 //   - Functions of up to six variables (every 4-input cut) are synthesized
 //     and extracted as single uint64 words (internal/mig synth6.go):
 //     cofactors, projections and matching are pure word arithmetic.
+//   - AIG cut rewriting (internal/aig opt.go) factors each cut function of
+//     up to six variables once per pipeline: a graph-owned memo maps the
+//     truth table's word to its sop.FactorTT form and is handed on by every
+//     topological rebuild (rewrite, refactor, balance, cleanup, fraig), so
+//     the probe and commit of a cut, and later passes meeting the same
+//     function, reuse one factoring. The factored form is built on a
+//     graph-owned scratch stack, combining operands in place, so a memo
+//     hit allocates nothing beyond the nodes it adds.
 //   - Candidate probing in the Ω/Ψ passes records (shape, parameters)
 //     records instead of capturing rebuild closures, keeping the probe
 //     inner loop off the heap.

@@ -84,6 +84,13 @@ type AIG struct {
 	cutCache *cut.Cache
 	// fscr memoizes cone truth-table walks.
 	fscr cut.FuncScratch
+	// memo maps small cut functions to their factored forms (opt.go).
+	// A topological rebuild hands it to the graph it builds, so one
+	// pipeline factors each function once; graphs sharing it must not be
+	// optimized concurrently, like the cut cache.
+	memo factorMemo
+	// synth is SynthesizeTT's reusable operand stack and sorter.
+	synth synthScratch
 }
 
 // New returns an empty AIG containing only the constant node.
@@ -318,8 +325,8 @@ func (a *AIG) Activity(inputProbs []float64) float64 {
 }
 
 // Clone returns a deep copy of the AIG. The structural hash is cloned as
-// a flat slice copy; scratch memory and the cut cache are not carried
-// over (mirrors the MIG's Clone).
+// a flat slice copy; scratch memory, the factored-form memo and the cut
+// cache are not carried over (mirrors the MIG's Clone).
 func (a *AIG) Clone() *AIG {
 	return &AIG{
 		Name:    a.Name,
@@ -331,9 +338,17 @@ func (a *AIG) Clone() *AIG {
 	}
 }
 
+// derive returns the empty graph a topological rebuild of a fills in:
+// same name, sharing a's factored-form memo.
+func (a *AIG) derive() *AIG {
+	out := New(a.Name)
+	out.memo = a.memo
+	return out
+}
+
 // Cleanup rebuilds the AIG dropping dead nodes.
 func (a *AIG) Cleanup() *AIG {
-	out := New(a.Name)
+	out := a.derive()
 	remap := make([]Signal, len(a.nodes))
 	for idx, in := range a.inputs {
 		remap[in] = out.AddInput(a.names[idx])

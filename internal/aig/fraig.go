@@ -89,7 +89,7 @@ func (a *AIG) fraigRound(ctx context.Context, words int, budget int64, jobs int,
 		return a, 0, newCex
 	}
 
-	out := New(a.Name)
+	out := a.derive()
 	remap := make([]Signal, len(a.nodes))
 	remap[0] = Const0
 	for idx, in := range a.inputs {

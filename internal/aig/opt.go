@@ -39,7 +39,7 @@ func (a *AIG) rollback(cp int) {
 // operands first.
 func (a *AIG) Balance() *AIG {
 	refs := a.FanoutCounts()
-	out := New(a.Name)
+	out := a.derive()
 	remap := make([]Signal, len(a.nodes))
 	for idx, in := range a.inputs {
 		remap[in] = out.AddInput(a.names[idx])
@@ -58,27 +58,20 @@ func (a *AIG) Balance() *AIG {
 		*leaves = append(*leaves, s)
 	}
 
+	var leaves []Signal
 	for i := range a.nodes {
 		nd := &a.nodes[i]
 		if !live[i] || nd.kind != kindAnd {
 			continue
 		}
-		var oldLeaves []Signal
-		collect(MakeSignal(i, false), true, &oldLeaves)
-		// Map leaves into the new graph.
-		newLeaves := make([]Signal, len(oldLeaves))
-		for k, l := range oldLeaves {
-			newLeaves[k] = remap[l.Node()].NotIf(l.Neg())
+		leaves = leaves[:0]
+		collect(MakeSignal(i, false), true, &leaves)
+		// Map leaves into the new graph, then combine the two shallowest
+		// repeatedly.
+		for k, l := range leaves {
+			leaves[k] = remap[l.Node()].NotIf(l.Neg())
 		}
-		// Combine the two shallowest leaves repeatedly.
-		for len(newLeaves) > 1 {
-			sort.Slice(newLeaves, func(x, y int) bool {
-				return out.Level(newLeaves[x]) < out.Level(newLeaves[y])
-			})
-			n := out.And(newLeaves[0], newLeaves[1])
-			newLeaves = append([]Signal{n}, newLeaves[2:]...)
-		}
-		remap[i] = newLeaves[0]
+		remap[i] = out.andByLevel(leaves)
 	}
 	for _, o := range a.Outputs {
 		out.AddOutput(o.Name, remap[o.Sig.Node()].NotIf(o.Sig.Neg()))
@@ -86,9 +79,78 @@ func (a *AIG) Balance() *AIG {
 	return out
 }
 
+// byLevel orders signals by their level in g. sort.Sort runs the same
+// pdqsort as sort.Slice, so it yields the identical permutation, but
+// without sort.Slice's per-call closure and swapper allocations.
+type byLevel struct {
+	g    *AIG
+	sigs []Signal
+}
+
+func (b *byLevel) Len() int           { return len(b.sigs) }
+func (b *byLevel) Less(i, j int) bool { return b.g.Level(b.sigs[i]) < b.g.Level(b.sigs[j]) }
+func (b *byLevel) Swap(i, j int)      { b.sigs[i], b.sigs[j] = b.sigs[j], b.sigs[i] }
+
+// andByLevel returns the conjunction of sigs, built by repeatedly sorting
+// the operands by level and replacing the two shallowest with their AND.
+// It combines in place, so sigs is clobbered.
+func (a *AIG) andByLevel(sigs []Signal) Signal {
+	order := &a.synth.order
+	order.g = a
+	for len(sigs) > 1 {
+		order.sigs = sigs
+		sort.Sort(order)
+		sigs[1] = a.And(sigs[0], sigs[1])
+		sigs = sigs[1:]
+	}
+	return sigs[0]
+}
+
+// synthScratch is the reusable state of synthExpr: one operand stack shared
+// by all recursion levels (each AND/OR node uses a frame above its
+// caller's) and the sorter andByLevel drives.
+type synthScratch struct {
+	stack []Signal
+	order byLevel
+}
+
+// factorMemo maps a cut function of at most six variables, keyed by its
+// variable count and single truth-table word, to its sop.FactorTT result.
+// sop.FactorTT is a pure function, so a hit builds exactly what a fresh
+// factoring would.
+type factorMemo map[factorKey]factored
+
+type factorKey struct {
+	n int
+	w uint64
+}
+
+type factored struct {
+	e   *sop.Expr
+	neg bool
+}
+
+// factor returns sop.FactorTT(f), memoized when f has at most six
+// variables.
+func (a *AIG) factor(f tt.TT) (*sop.Expr, bool) {
+	if f.NumVars() > 6 {
+		return sop.FactorTT(f)
+	}
+	k := factorKey{f.NumVars(), f.Word(0)}
+	if r, ok := a.memo[k]; ok {
+		return r.e, r.neg
+	}
+	e, neg := sop.FactorTT(f)
+	if a.memo == nil {
+		a.memo = factorMemo{}
+	}
+	a.memo[k] = factored{e, neg}
+	return e, neg
+}
+
 // synthExpr builds an expression tree in the AIG over the given leaf
 // signals, pairing shallow operands first.
-func synthExpr(out *AIG, e *sop.Expr, leaves []Signal) Signal {
+func (a *AIG) synthExpr(e *sop.Expr, leaves []Signal) Signal {
 	switch e.Kind {
 	case sop.ExprConst:
 		if e.Val {
@@ -98,32 +160,26 @@ func synthExpr(out *AIG, e *sop.Expr, leaves []Signal) Signal {
 	case sop.ExprLit:
 		return leaves[e.Var].NotIf(e.Neg)
 	case sop.ExprAnd, sop.ExprOr:
-		sigs := make([]Signal, len(e.Kids))
-		for i, k := range e.Kids {
-			s := synthExpr(out, k, leaves)
-			if e.Kind == sop.ExprOr {
-				s = s.Not()
-			}
-			sigs[i] = s
+		or := e.Kind == sop.ExprOr
+		base := len(a.synth.stack)
+		for _, k := range e.Kids {
+			s := a.synthExpr(k, leaves).NotIf(or)
+			a.synth.stack = append(a.synth.stack, s)
 		}
-		for len(sigs) > 1 {
-			sort.Slice(sigs, func(x, y int) bool {
-				return out.Level(sigs[x]) < out.Level(sigs[y])
-			})
-			sigs = append([]Signal{out.And(sigs[0], sigs[1])}, sigs[2:]...)
-		}
-		if e.Kind == sop.ExprOr {
-			return sigs[0].Not()
-		}
-		return sigs[0]
+		s := a.andByLevel(a.synth.stack[base:])
+		a.synth.stack = a.synth.stack[:base]
+		return s.NotIf(or)
 	}
 	panic("aig: bad expression kind")
 }
 
 // SynthesizeTT builds f over the leaf signals via minimized, factored SOP.
+// Factored forms of functions of up to six variables are memoized in out
+// and carried to the graphs rebuilt from it; a memo hit with warm scratch
+// allocates nothing beyond the nodes it adds.
 func SynthesizeTT(out *AIG, f tt.TT, leaves []Signal) Signal {
-	e, neg := sop.FactorTT(f)
-	return synthExpr(out, e, leaves).NotIf(neg)
+	e, neg := out.factor(f)
+	return out.synthExpr(e, leaves).NotIf(neg)
 }
 
 // Rewrite performs DAG-aware cut rewriting with 4-input cuts, the analogue
@@ -150,7 +206,7 @@ const badSignal = ^Signal(0)
 // slice rather than a map.
 func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 	cuts := a.CutSet(k, maxCuts)
-	out := New(a.Name)
+	out := a.derive()
 	out.strash.Reserve(len(a.nodes))
 	remap := make([]Signal, len(a.nodes))
 	for i := range remap {

@@ -58,11 +58,16 @@ type PartStat struct {
 	Rep string `json:"rep"`
 	// Size/Depth are measured on the window's netlist export before and
 	// after optimization (the common currency of the two candidates).
-	SizeBefore  int     `json:"size_before"`
-	SizeAfter   int     `json:"size_after"`
-	DepthBefore int     `json:"depth_before"`
-	DepthAfter  int     `json:"depth_after"`
-	Seconds     float64 `json:"seconds"`
+	SizeBefore  int `json:"size_before"`
+	SizeAfter   int `json:"size_after"`
+	DepthBefore int `json:"depth_before"`
+	DepthAfter  int `json:"depth_after"`
+	// Seconds is the window's wall time; MIGSeconds and AIGSeconds are the
+	// two candidate flows' shares of it (conversion, pipeline and export
+	// each; AIGSeconds is 0 when objective "none" skips the AIG leg).
+	Seconds    float64 `json:"seconds"`
+	MIGSeconds float64 `json:"mig_seconds"`
+	AIGSeconds float64 `json:"aig_seconds"`
 }
 
 // Report describes one partitioned run.
@@ -202,6 +207,7 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 		DepthBefore: w.Net.Depth(),
 	}
 
+	migStart := time.Now()
 	migPipe, err := migPipeline(cfg)
 	if err != nil {
 		return winResult{err: err}
@@ -211,6 +217,7 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 		return winResult{err: err}
 	}
 	migNet := migOut.ToNetwork()
+	stat.MIGSeconds = time.Since(migStart).Seconds()
 
 	rep, net, trace := "mig", migNet, migTrace
 	if cfg.Objective != "none" {
@@ -218,11 +225,14 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 		if err != nil {
 			return winResult{err: err}
 		}
+		aigStart := time.Now()
 		aigOut, aigTrace, err := aigPipe.RunContext(wctx, aig.FromNetwork(w.Net))
 		if err != nil {
 			return winResult{err: err}
 		}
-		if aigNet := aigOut.ToNetwork(); betterNet(cfg.Objective, aigNet, migNet) {
+		aigNet := aigOut.ToNetwork()
+		stat.AIGSeconds = time.Since(aigStart).Seconds()
+		if betterNet(cfg.Objective, aigNet, migNet) {
 			rep, net, trace = "aig", aigNet, aigTrace
 		}
 	}

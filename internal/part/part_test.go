@@ -201,3 +201,24 @@ func TestOptimizeObjectiveNoneSkipsAIG(t *testing.T) {
 		}
 	}
 }
+
+// Every window reports both legs' wall time, each within the window's
+// total; objective "none" runs no AIG leg.
+func TestOptimizeLegSeconds(t *testing.T) {
+	n := circuit(t, "my_adder")
+	for _, objective := range []string{"flow", "none"} {
+		_, rep, err := Optimize(context.Background(), n, Config{K: 2, Effort: 1, Objective: objective})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rep.Parts {
+			if p.MIGSeconds < 0 || p.AIGSeconds < 0 || p.MIGSeconds+p.AIGSeconds > p.Seconds {
+				t.Errorf("%s: window %d legs mig=%g aig=%g exceed seconds=%g",
+					objective, p.Part, p.MIGSeconds, p.AIGSeconds, p.Seconds)
+			}
+			if objective == "none" && p.AIGSeconds != 0 {
+				t.Errorf("none: window %d timed an AIG leg (%gs)", p.Part, p.AIGSeconds)
+			}
+		}
+	}
+}

@@ -54,7 +54,7 @@ func (c Cube) TT(n int) TT {
 	return r
 }
 
-// String renders the cube in PLA style over n variables, e.g. "1-0".
+// PLA renders the cube in PLA style over n variables, e.g. "1-0".
 func (c Cube) PLA(n int) string {
 	var sb strings.Builder
 	for i := 0; i < n; i++ {

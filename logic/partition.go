@@ -6,7 +6,9 @@ package logic
 
 import "repro/internal/part"
 
-// PartitionStat reports one partition window of a partitioned run.
+// PartitionStat reports one partition window of a partitioned run. It
+// mirrors the internal window report field for field, so the two convert
+// directly.
 type PartitionStat struct {
 	// Part is the window's partition index.
 	Part int `json:"part"`
@@ -24,8 +26,12 @@ type PartitionStat struct {
 	SizeAfter   int `json:"size_after"`
 	DepthBefore int `json:"depth_before"`
 	DepthAfter  int `json:"depth_after"`
-	// Seconds is the window's wall time (both candidate flows).
-	Seconds float64 `json:"seconds"`
+	// Seconds is the window's wall time (both candidate flows);
+	// MIGSeconds and AIGSeconds are each flow's share of it (AIGSeconds is
+	// 0 when objective "none" skips the AIG flow).
+	Seconds    float64 `json:"seconds"`
+	MIGSeconds float64 `json:"mig_seconds"`
+	AIGSeconds float64 `json:"aig_seconds"`
 }
 
 // PartitionReport describes one partitioned Optimize call.
@@ -51,18 +57,7 @@ func fromPartReport(r *part.Report) *PartitionReport {
 		StitchSeconds:    r.StitchSeconds,
 	}
 	for _, p := range r.Parts {
-		out.Parts = append(out.Parts, PartitionStat{
-			Part:        p.Part,
-			Gates:       p.Gates,
-			Inputs:      p.Inputs,
-			Outputs:     p.Outputs,
-			Rep:         p.Rep,
-			SizeBefore:  p.SizeBefore,
-			SizeAfter:   p.SizeAfter,
-			DepthBefore: p.DepthBefore,
-			DepthAfter:  p.DepthAfter,
-			Seconds:     p.Seconds,
-		})
+		out.Parts = append(out.Parts, PartitionStat(p))
 	}
 	return out
 }

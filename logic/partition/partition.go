@@ -132,18 +132,7 @@ func Optimize(ctx context.Context, n logic.Network, cfg Config) (*logic.Netlist,
 		StitchSeconds:    rep.StitchSeconds,
 	}
 	for _, p := range rep.Parts {
-		report.Parts = append(report.Parts, logic.PartitionStat{
-			Part:        p.Part,
-			Gates:       p.Gates,
-			Inputs:      p.Inputs,
-			Outputs:     p.Outputs,
-			Rep:         p.Rep,
-			SizeBefore:  p.SizeBefore,
-			SizeAfter:   p.SizeAfter,
-			DepthBefore: p.DepthBefore,
-			DepthAfter:  p.DepthAfter,
-			Seconds:     p.Seconds,
-		})
+		report.Parts = append(report.Parts, logic.PartitionStat(p))
 	}
 	return logic.FromNetlist(out), report, nil
 }
