@@ -179,7 +179,7 @@ func BenchmarkAblationDepthNoReshape(b *testing.B) {
 	m.AddOutput("p", acc)
 	var full, bare int
 	for i := 0; i < b.N; i++ {
-		full = mig.OptimizeDepth(m, 3).Depth()
+		full = runCanned(b, mig.DepthPipeline(3), m).Depth()
 		// Pure push-up: no reshape, no elimination between cycles.
 		cur := m.Cleanup()
 		for it := 0; it < 64; it++ {
@@ -212,7 +212,7 @@ func BenchmarkAblationSizeNoRelevance(b *testing.B) {
 	}
 	var with, without int
 	for i := 0; i < b.N; i++ {
-		with = mig.OptimizeSize(m, 3).Size()
+		with = runCanned(b, mig.SizePipeline(3), m).Size()
 		e := m.Cleanup()
 		for c := 0; c < 3; c++ {
 			e = e.EliminatePass(0)
@@ -249,7 +249,7 @@ func BenchmarkAblationAIGBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := aig.FromNetwork(n)
 		raw = a.Size()
-		opt = aig.Resyn2(a, 2).Size()
+		opt = runCanned(b, aig.Resyn2Pipeline(2), a).Size()
 	}
 	b.ReportMetric(float64(raw), "aig-raw-size")
 	b.ReportMetric(float64(opt), "aig-resyn2-size")
@@ -271,7 +271,7 @@ func BenchmarkMIGDepthOpt(b *testing.B) {
 	m := mig.FromNetwork(getBench(b, "C6288"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mig.OptimizeDepth(m, 1)
+		runCanned(b, mig.DepthPipeline(1), m)
 	}
 }
 
@@ -280,7 +280,7 @@ func BenchmarkAIGResyn2(b *testing.B) {
 	a := aig.FromNetwork(getBench(b, "C6288"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		aig.Resyn2(a, 1)
+		runCanned(b, aig.Resyn2Pipeline(1), a)
 	}
 }
 

@@ -84,9 +84,8 @@
 //     reshape-depth, pushup, activity, cut-rewrite, window-rewrite,
 //     rewrite-npn, fraig and cleanup, and exposes
 //     Algorithm 1 (SizePipeline), Algorithm 2 (DepthPipeline), the §V.A
-//     experimental flow (FlowPipeline), the §IV.C activity flow
-//     (ActivityPipeline) and the Boolean extension (BooleanSizePipeline)
-//     as canned pipelines; mig.Optimize and friends run them.
+//     experimental flow (FlowPipeline) and the §IV.C activity flow
+//     (ActivityPipeline) as canned pipelines.
 //   - internal/aig registers balance, rewrite, refactor, fraig and cleanup,
 //     and exposes the resyn2 recipe as Resyn2Pipeline.
 //   - Textual pass scripts ("eliminate(8); reshape-depth; eliminate")
@@ -193,7 +192,10 @@
 // exercising the flow at 100k+ gates, and BLIF decoding streams from
 // io.Reader (internal/blif.ParseReader, logic.DecodeReader) with a
 // worklist for out-of-order .names blocks, so peak memory tracks the
-// netlist rather than the file. docs/PARTITION.md documents the
+// netlist rather than the file. Decoding is strict: a signal driven twice,
+// a .names over an input, a repeated port name or a second Verilog assign
+// to a net is an error naming the signal (and, for BLIF, the line), and
+// the encoders keep internal net names from capturing port names. docs/PARTITION.md documents the
 // algorithm and the determinism contract.
 //
 // # SAT subsystem
@@ -224,18 +226,20 @@
 //     rewritten region, falling back to the full layered check when
 //     undecided. Options.Engine and the CLIs' -verify flag force a
 //     specific engine.
-//   - The fraig passes (internal/mig, internal/aig) are simulation-guided
-//     SAT sweeping: candidate equivalence classes from random simulation,
-//     per-pair cone proofs fanned over opt.ForEach workers, refutation
-//     counterexamples refining the next round, and proven nodes merged
-//     through the dense-remap rebuild. Each worker owns one long-lived
-//     solver rewound with Reset per pair, so solver constructions are
-//     O(workers) while results stay deterministic for any worker count
-//     and never size-increasing. The representation-independent sweeping
-//     core (stimulus rows, canonical-signature classification, round
-//     orchestration, the session counterexample pool that persists
-//     refutation patterns across the passes of one run) lives in
-//     internal/sweep, shared with the miter.
+//   - The fraig passes of the MIG and the AIG run one SAT-sweeping engine,
+//     internal/fraig: candidate equivalence classes from random
+//     simulation, per-pair cone proofs fanned over opt.ForEach workers,
+//     refutation counterexamples refining the next round, and proven nodes
+//     merged through the representation's rebuild. Each worker owns one
+//     long-lived solver rewound with Reset per pair, so solver
+//     constructions are O(workers) while results stay deterministic for
+//     any worker count and never size-increasing. A representation plugs
+//     in through fraig.Graph, a small view of its graph: node kind,
+//     fanins in order, the gate's CNF encoder (AddMajGate / AddAndGate)
+//     and the merge rebuild. The building blocks (stimulus rows,
+//     canonical-signature classification, the session counterexample pool
+//     that persists refutation patterns across the passes of one run)
+//     live in internal/sweep, shared with the miter.
 //   - The solver itself is proven against brute-force enumeration on
 //     random CNFs (and continuously via FuzzSolver), with the same suite
 //     replayed through reused group-gated solvers.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mcnc"
 	"repro/internal/mig"
 	"repro/internal/netlist"
+	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/verilog"
 	"repro/logic"
@@ -23,6 +24,17 @@ import (
 // TestFullPipelineVerilog drives the mighty pipeline in-process: generate →
 // write Verilog → parse → remajorize → MIG optimize → verify → write back →
 // re-parse → verify again.
+// runCanned runs a canned pipeline; canned pipelines carry no checker, so
+// any error fails the test.
+func runCanned[G opt.Graph](tb testing.TB, p *opt.Pipeline[G], g G) G {
+	tb.Helper()
+	res, _, err := p.Run(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestFullPipelineVerilog(t *testing.T) {
 	for _, name := range []string{"my_adder", "b9", "alu4"} {
 		orig, err := mcnc.Generate(name)
@@ -35,7 +47,7 @@ func TestFullPipelineVerilog(t *testing.T) {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
 		m := mig.FromNetwork(parsed.Remajorize())
-		opt := mig.Optimize(m, 2)
+		opt := runCanned(t, mig.FlowPipeline(2), m)
 		res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{SimRounds: 32})
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +82,7 @@ func TestFullPipelineBLIF(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mig.FromNetwork(parsed.Remajorize())
-	opt := mig.OptimizeSize(m, 2)
+	opt := runCanned(t, mig.SizePipeline(2), m)
 	res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{SimRounds: 32})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cut"
 	"repro/internal/netlist"
+	"repro/internal/opt"
 	"repro/internal/tt"
 )
 
@@ -265,11 +266,22 @@ func TestRefactorEquivalence(t *testing.T) {
 	}
 }
 
+// runCanned runs a canned pipeline; canned pipelines carry no checker, so
+// any error fails the test.
+func runCanned(tb testing.TB, p *opt.Pipeline[*AIG], a *AIG) *AIG {
+	tb.Helper()
+	res, _, err := p.Run(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestResyn2Equivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 8; trial++ {
 		a := randomAIG(r, 6, 80)
-		b := Resyn2(a, 2)
+		b := runCanned(t, Resyn2Pipeline(2), a)
 		checkEquiv(t, a, b, "Resyn2")
 		if b.Size() > a.Size() {
 			t.Errorf("resyn2 grew size %d -> %d", a.Size(), b.Size())
@@ -285,7 +297,7 @@ func TestResyn2ReducesRedundancy(t *testing.T) {
 	z := a.AddInput("z")
 	f := a.And(a.And(x, y), a.And(x, a.And(y, z)))
 	a.AddOutput("o", f)
-	b := Resyn2(a, 2)
+	b := runCanned(t, Resyn2Pipeline(2), a)
 	checkEquiv(t, a, b, "redundant")
 	if b.Size() > 2 {
 		t.Errorf("x·y·z synthesized with %d nodes, want 2", b.Size())

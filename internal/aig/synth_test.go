@@ -124,9 +124,9 @@ func TestResyn2CarriedMemoMatchesMemoless(t *testing.T) {
 		a := FromNetwork(n)
 		// The result may be the cleaned-up input, which no rewrite has
 		// touched; any later graph carries the memo.
-		carried := Resyn2(a, rounds)
+		carried := runCanned(t, Resyn2Pipeline(rounds), a)
 		carriedAny = carriedAny || len(carried.memo) > 0
-		want := run(memoless, a.Clone())
+		want := runCanned(t, memoless, a.Clone())
 		if !slices.Equal(carried.nodes, want.nodes) || !slices.Equal(carried.Outputs, want.Outputs) {
 			t.Errorf("%s: carried-memo resyn2 differs from memo-less (%s vs %s)",
 				name, carried.Stats(), want.Stats())

@@ -47,9 +47,6 @@ type Manager struct {
 	nodes   []bddNode
 	unique  map[nodeKey]Ref
 	ite     map[[3]Ref]Ref
-	// varToInput optionally records which circuit input each BDD level
-	// reads (set by BuildNetworkOrdered).
-	varToInput []int
 }
 
 // NewManager creates a manager for numVars variables with the given node
@@ -276,10 +273,17 @@ func (m *Manager) CountNodes(roots []Ref) int {
 	return count
 }
 
-// BuildNetwork constructs the BDDs of every output of a netlist. It returns
-// the manager and one root per output, or ErrLimit when the network blows
-// past the node limit.
-func BuildNetwork(n *netlist.Network, limit int) (m2 *Manager, roots2 []Ref, err2 error) {
+// BuildNetwork constructs the BDDs of every output of a netlist in the
+// declaration variable order. It returns the manager and one root per
+// output, or ErrLimit when the network blows past the node limit.
+func BuildNetwork(n *netlist.Network, limit int) (*Manager, []Ref, error) {
+	return BuildNetworkOrdered(n, limit, nil)
+}
+
+// BuildNetworkOrdered is BuildNetwork with an explicit variable order:
+// order[k] gives the input index assigned to BDD level k (nil is the
+// declaration order, input k at level k).
+func BuildNetworkOrdered(n *netlist.Network, limit int, order []int) (m2 *Manager, roots2 []Ref, err2 error) {
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(limitPanic); ok {
@@ -289,10 +293,13 @@ func BuildNetwork(n *netlist.Network, limit int) (m2 *Manager, roots2 []Ref, err
 			panic(p)
 		}
 	}()
-	return buildNetwork(n, limit)
-}
-
-func buildNetwork(n *netlist.Network, limit int) (*Manager, []Ref, error) {
+	level := make([]int, n.NumInputs()) // input index -> level
+	for k := range level {
+		level[k] = k
+	}
+	for k, v := range order {
+		level[v] = k
+	}
 	m := NewManager(n.NumInputs(), limit)
 	vals := make([]Ref, len(n.Nodes))
 	var err error
@@ -317,7 +324,7 @@ func buildNetwork(n *netlist.Network, limit int) (*Manager, []Ref, error) {
 		case netlist.Const0:
 			vals[i] = False
 		case netlist.Input:
-			vals[i] = m.Var(inIdx)
+			vals[i] = m.Var(level[inIdx])
 			inIdx++
 		case netlist.Not:
 			vals[i], err = m.Not(get(nd.Fanins[0]))

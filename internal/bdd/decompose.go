@@ -140,27 +140,15 @@ func (m *Manager) DecomposeInto(n *netlist.Network, roots []Ref, vars []netlist.
 	return out, nil
 }
 
-// DecomposeNetwork is the full BDS-style flow: build BDDs for a netlist and
-// decompose them back into a (usually restructured) netlist. The limit
-// bounds BDD construction; ErrLimit reproduces the BDS failures reported in
-// the paper on BDD-hostile circuits.
+// DecomposeNetwork is the full BDS-style flow: build BDDs for a netlist in
+// the declaration variable order and decompose them back into a (usually
+// restructured) netlist. The limit bounds BDD construction; ErrLimit
+// reproduces the BDS failures reported in the paper on BDD-hostile
+// circuits.
 func DecomposeNetwork(n *netlist.Network, limit int) (*netlist.Network, error) {
-	m, roots, err := BuildNetwork(n, limit)
-	if err != nil {
-		return nil, err
+	order := make([]int, n.NumInputs())
+	for i := range order {
+		order[i] = i
 	}
-	inNames := make([]string, n.NumInputs())
-	for i, idx := range n.Inputs {
-		inNames[i] = n.Nodes[idx].Name
-	}
-	outNames := make([]string, len(n.Outputs))
-	for i, o := range n.Outputs {
-		outNames[i] = o.Name
-	}
-	dec, err := m.Decompose(roots, inNames, outNames)
-	if err != nil {
-		return nil, err
-	}
-	dec.Name = n.Name
-	return dec, nil
+	return DecomposeNetworkOrdered(n, limit, order)
 }

@@ -11,7 +11,10 @@ import (
 )
 
 // Write renders the network as BLIF. Every logic node becomes a .names
-// block with an explicit cover.
+// block with an explicit cover. Port names are reserved first, and an
+// internal net name (n<i>, const0/const1, <net>_inv) that a port already
+// holds is renamed by the same uniquifier, so no internal net can capture
+// a port.
 func Write(n *netlist.Network) string {
 	var sb strings.Builder
 	name := n.Name
@@ -33,6 +36,15 @@ func Write(n *netlist.Network) string {
 				return cand
 			}
 		}
+	}
+	// internal names a net. The internal names are distinct by
+	// construction and the uniquifier's renames (<name>_<k>) never take
+	// their forms, so only a clash with a reserved name needs a rename.
+	internal := func(name string) string {
+		if used[name] {
+			return uniquify(name)
+		}
+		return name
 	}
 	sig := make([]string, len(n.Nodes))
 	inNames := make([]string, len(n.Inputs))
@@ -64,8 +76,9 @@ func Write(n *netlist.Network) string {
 		case netlist.Const0, netlist.Input:
 			continue
 		}
-		sig[i] = fmt.Sprintf("n%d", i)
+		sig[i] = internal(fmt.Sprintf("n%d", i))
 	}
+	const0, const1 := internal("const0"), internal("const1")
 
 	// ref returns the name of a signal, materializing an inverter node name
 	// when the edge is complemented.
@@ -75,9 +88,9 @@ func Write(n *netlist.Network) string {
 		if s.Node() == 0 {
 			// Constant: emit a dedicated net below.
 			if s.Neg() {
-				return "const1"
+				return const1
 			}
-			return "const0"
+			return const0
 		}
 		base := sig[s.Node()]
 		if !s.Neg() {
@@ -86,7 +99,7 @@ func Write(n *netlist.Network) string {
 		if nm, ok := inverted[s.Node()]; ok {
 			return nm
 		}
-		nm := base + "_inv"
+		nm := internal(base + "_inv")
 		inverted[s.Node()] = nm
 		fmt.Fprintf(&invBlocks, ".names %s %s\n0 1\n", base, nm)
 		return nm
@@ -101,10 +114,10 @@ func Write(n *netlist.Network) string {
 		fan := make([]string, len(nd.Fanins))
 		for k, f := range nd.Fanins {
 			fan[k] = ref(f)
-			if fan[k] == "const0" {
+			if fan[k] == const0 {
 				usesConst0 = true
 			}
-			if fan[k] == "const1" {
+			if fan[k] == const1 {
 				usesConst1 = true
 			}
 		}
@@ -154,10 +167,10 @@ func Write(n *netlist.Network) string {
 	// Output drivers.
 	for i, o := range n.Outputs {
 		src := ref(o.Sig)
-		if src == "const0" {
+		if src == const0 {
 			usesConst0 = true
 		}
-		if src == "const1" {
+		if src == const1 {
 			usesConst1 = true
 		}
 		if src != outNames[i] {
@@ -165,10 +178,10 @@ func Write(n *netlist.Network) string {
 		}
 	}
 	if usesConst0 {
-		sb.WriteString(".names const0\n")
+		fmt.Fprintf(&sb, ".names %s\n", const0)
 	}
 	if usesConst1 {
-		sb.WriteString(".names const1\n1\n")
+		fmt.Fprintf(&sb, ".names %s\n1\n", const1)
 	}
 	sb.WriteString(invBlocks.String())
 	sb.WriteString(body.String())

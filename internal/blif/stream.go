@@ -28,6 +28,11 @@ type block struct {
 
 // ParseReader reads one BLIF model from r into a netlist, incrementally.
 // It accepts exactly the dialect Parse does; Parse delegates here.
+//
+// Decoding is strict: a signal driven twice (a second .names for it, or a
+// .names over a primary input) and a name listed twice in .inputs or
+// .outputs are errors naming the signal and its line, never a silent
+// choice between the definitions.
 func ParseReader(r io.Reader) (*netlist.Network, error) {
 	net := netlist.New("")
 	env := map[string]netlist.Signal{}
@@ -37,6 +42,15 @@ func ParseReader(r io.Reader) (*netlist.Network, error) {
 	pending := 0
 	var outputs []string
 	var cur *block
+	// defs records where each signal was defined (as an input or a .names
+	// output), and outLine where each output was declared, for the
+	// duplicate checks.
+	type def struct {
+		line  int
+		input bool
+	}
+	defs := map[string]def{}
+	outLine := map[string]int{}
 
 	// tryBuild resolves a block whose dependencies are all defined (or
 	// parks it on the first missing one); defining a signal replays every
@@ -104,11 +118,15 @@ func ParseReader(r io.Reader) (*netlist.Network, error) {
 	// accumulate into a reused scratch slice. Only lines that carry
 	// content are ever materialized as strings, so blank space and
 	// comments cost nothing per line.
+	// line is the number of the first physical line of the logical line
+	// last returned; read counts the physical lines consumed so far.
 	br := bufio.NewReaderSize(r, 64<<10)
 	var scratch []byte
+	line, read := 0, 0
 	readLine := func() ([]byte, error) {
 		scratch = scratch[:0]
 		joining := false
+		line = read + 1
 		for {
 			chunk, err := br.ReadSlice('\n')
 			if err == bufio.ErrBufferFull {
@@ -125,6 +143,7 @@ func ParseReader(r io.Reader) (*netlist.Network, error) {
 			}
 			if n := len(chunk); n > 0 && chunk[n-1] == '\n' {
 				chunk = chunk[:n-1]
+				read++
 			}
 			if n := len(chunk); n > 0 && chunk[n-1] == '\r' {
 				chunk = chunk[:n-1]
@@ -169,6 +188,10 @@ func ParseReader(r io.Reader) (*netlist.Network, error) {
 				return nil, err
 			}
 			for _, in := range fields[1:] {
+				if first, dup := defs[in]; dup {
+					return nil, fmt.Errorf("blif: line %d: input %q declared twice (first at line %d)", line, in, first.line)
+				}
+				defs[in] = def{line: line, input: true}
 				if err := define(in, net.AddInput(in)); err != nil {
 					return nil, err
 				}
@@ -177,11 +200,28 @@ func ParseReader(r io.Reader) (*netlist.Network, error) {
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			outputs = append(outputs, fields[1:]...)
+			for _, out := range fields[1:] {
+				if first, dup := outLine[out]; dup {
+					return nil, fmt.Errorf("blif: line %d: output %q declared twice (first at line %d)", line, out, first)
+				}
+				outLine[out] = line
+				outputs = append(outputs, out)
+			}
 		case ".names":
 			if err := flush(); err != nil {
 				return nil, err
 			}
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("blif: line %d: .names without a signal", line)
+			}
+			out := fields[len(fields)-1]
+			if first, dup := defs[out]; dup {
+				if first.input {
+					return nil, fmt.Errorf("blif: line %d: .names redefines input %q (declared at line %d)", line, out, first.line)
+				}
+				return nil, fmt.Errorf("blif: line %d: signal %q defined twice (first at line %d)", line, out, first.line)
+			}
+			defs[out] = def{line: line}
 			cur = &block{signals: fields[1:], outVal: '1'}
 		case ".end":
 			if err := flush(); err != nil {

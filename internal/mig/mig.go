@@ -105,8 +105,9 @@ type MIG struct {
 	// word-level twin for cuts of at most six leaves (synth6.go).
 	fscr cut.FuncScratch
 	wscr wordScratch
-	// synthMemo is the reusable memo of SynthesizeTT (synth.go).
-	synthMemo ttMemo
+	// synthMemo is the reusable per-call memo of synthW (synth6.go), keyed
+	// by truth-table word.
+	synthMemo map[uint64]Signal
 }
 
 // New returns an empty MIG containing only the constant node.

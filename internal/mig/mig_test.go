@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netlist"
+	"repro/internal/opt"
 	"repro/internal/tt"
 )
 
@@ -456,13 +457,13 @@ func TestOptimizersEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
 		m := randomMIG(r, 5+r.Intn(3), 30+r.Intn(60))
-		for name, f := range map[string]func(*MIG, int) *MIG{
-			"size":     OptimizeSize,
-			"depth":    OptimizeDepth,
-			"activity": OptimizeActivity,
-			"full":     Optimize,
+		for name, p := range map[string]*opt.Pipeline[*MIG]{
+			"size":     SizePipeline(2),
+			"depth":    DepthPipeline(2),
+			"activity": ActivityPipeline(2, nil),
+			"full":     FlowPipeline(2),
 		} {
-			o := f(m, 2)
+			o := runCanned(t, p, m)
 			checkEquiv(t, m, o, name)
 		}
 	}
@@ -480,7 +481,7 @@ func TestFig2aSizeOptimization(t *testing.T) {
 	if m.Size() != 3 {
 		t.Fatalf("initial size = %d, want 3", m.Size())
 	}
-	o := OptimizeSize(m, 4)
+	o := runCanned(t, SizePipeline(4), m)
 	checkEquiv(t, m, o, "fig2a")
 	if o.Size() != 0 {
 		t.Errorf("optimized size = %d, want 0 (h = x)", o.Size())
@@ -499,7 +500,7 @@ func TestFig2cDepthOptimization(t *testing.T) {
 	if m.Depth() != 3 {
 		t.Fatalf("initial depth = %d, want 3", m.Depth())
 	}
-	o := OptimizeDepth(m, 4)
+	o := runCanned(t, DepthPipeline(4), m)
 	checkEquiv(t, m, o, "fig2c")
 	if o.Depth() != 2 {
 		t.Errorf("optimized depth = %d, want 2", o.Depth())
@@ -517,7 +518,7 @@ func TestFig2bXorDepth(t *testing.T) {
 	f := m.Xor(m.Xor(x, y), z)
 	m.AddOutput("f", f)
 	d0 := m.Depth()
-	o := OptimizeDepth(m, 6)
+	o := runCanned(t, DepthPipeline(6), m)
 	checkEquiv(t, m, o, "fig2b")
 	if o.Depth() > d0 {
 		t.Errorf("depth grew: %d -> %d", d0, o.Depth())
@@ -561,7 +562,7 @@ func TestRippleCarryDepthReduction(t *testing.T) {
 	if m.Depth() != n {
 		t.Fatalf("initial carry depth = %d, want %d", m.Depth(), n)
 	}
-	o := OptimizeDepth(m, 8)
+	o := runCanned(t, DepthPipeline(8), m)
 	// Equivalence via random simulation (32 inputs is too many for
 	// exhaustive collapse).
 	r := rand.New(rand.NewSource(10))

@@ -409,35 +409,6 @@ func (m *MIG) coneOf(s Signal, limit int) (int, []int) {
 	return count, leaves
 }
 
-// OptimizeSize implements Algorithm 1: iterated eliminate–reshape–eliminate
-// cycles. The best MIG found (by size, then depth) is returned. The
-// algorithm is the SizePipeline composition of registered passes.
-func OptimizeSize(m *MIG, effort int) *MIG {
-	return run(SizePipeline(effort), m)
-}
-
-// OptimizeDepth implements Algorithm 2: iterated push-up–reshape–push-up
-// cycles. Push-up runs to convergence inside each cycle. The best MIG found
-// (by depth, then size) is returned. The algorithm is the DepthPipeline
-// composition of registered passes.
-func OptimizeDepth(m *MIG, effort int) *MIG {
-	return run(DepthPipeline(effort), m)
-}
-
-// OptimizeActivity reduces switching activity (§IV.C) under uniform input
-// probabilities: size optimization plus probability-aware relevance
-// exchanges.
-func OptimizeActivity(m *MIG, effort int) *MIG {
-	return OptimizeActivityProbs(m, effort, nil)
-}
-
-// OptimizeActivityProbs is OptimizeActivity under the given input
-// probability profile (nil means uniform 0.5). The algorithm is the
-// ActivityPipeline composition of registered passes.
-func OptimizeActivityProbs(m *MIG, effort int, inputProbs []float64) *MIG {
-	return run(ActivityPipeline(effort, inputProbs), m)
-}
-
 // ActivityPass performs relevance exchanges that lower the switching
 // activity of the constructed nodes without increasing size, under the
 // given input probability profile (nil = uniform).
@@ -543,14 +514,4 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 		extend(out)
 		return s
 	})
-}
-
-// Optimize is the flow used in the paper's experiments (§V.A): depth
-// optimization interlaced with size and activity recovery phases. The size
-// recovery is slack-aware: elimination may restructure any node whose level
-// budget allows it, undoing Ω.D duplication off the critical path at
-// constant depth. The flow is the FlowPipeline composition of registered
-// passes.
-func Optimize(m *MIG, effort int) *MIG {
-	return run(FlowPipeline(effort), m)
 }

@@ -9,6 +9,17 @@ import (
 	"repro/internal/opt"
 )
 
+// runCanned runs a canned pipeline; canned pipelines carry no checker, so
+// any error fails the test.
+func runCanned(tb testing.TB, p *opt.Pipeline[*MIG], m *MIG) *MIG {
+	tb.Helper()
+	res, _, err := p.Run(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func migFor(t *testing.T, name string) *MIG {
 	t.Helper()
 	n, err := mcnc.Generate(name)
@@ -27,7 +38,7 @@ func TestCannedPipelinesPreserveEquivalence(t *testing.T) {
 		"depth":    DepthPipeline(2),
 		"flow":     FlowPipeline(2),
 		"activity": ActivityPipeline(1, nil),
-		"boolean":  BooleanSizePipeline(1),
+		"boolean":  booleanSizePipeline(1),
 	}
 	for _, bench := range []string{"b9", "count", "my_adder"} {
 		for label, p := range pipelines {
@@ -64,7 +75,7 @@ func TestScriptMatchesCannedCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canned := OptimizeSize(m, 1)
+	canned := runCanned(t, SizePipeline(1), m)
 	if scripted.Size() != canned.Size() || scripted.Depth() != canned.Depth() {
 		t.Fatalf("script (%d, %d) != canned cycle (%d, %d)",
 			scripted.Size(), scripted.Depth(), canned.Size(), canned.Depth())

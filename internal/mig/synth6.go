@@ -1,13 +1,23 @@
 package mig
 
-// Word-level resynthesis for functions of up to six variables. Every
-// cut-rewriting call synthesizes functions over at most four leaves, where
-// a truth table is a single uint64; routing those through the generic tt.TT
-// value type allocates a words slice per intermediate operation. This file
-// mirrors synthRec (synth.go) exactly — same matching order, same
-// decompositions, hence the same constructed structure — but computes every
-// cofactor, projection and comparison as pure uint64 arithmetic, so a
+// Functional resynthesis of functions of up to six variables into majority
+// logic. This extends the paper's purely algebraic Ω/Ψ optimization with
+// the cut-rewriting style its follow-on work developed: small cut functions
+// are re-synthesized from their truth tables and the cheaper structure
+// wins. synthW builds an MIG for a function over leaf signals:
+//
+//  1. constants and literals directly;
+//  2. single majority/AND/OR/XOR shapes of literals by exhaustive matching
+//     (all variable triples/pairs in all polarities);
+//  3. top-decomposition f = M(x, g, h) when cofactor analysis finds literal
+//     top candidates;
+//  4. otherwise Shannon expansion through the majority form
+//     f = M(M(x', f1, 1), M(x, f0, 1), 0) on the most binate variable.
+//
+// A function of at most six variables is a single uint64 truth table, so
+// every cofactor, projection and comparison is pure word arithmetic and a
 // synthesis probe performs no heap allocation beyond the nodes it creates.
+// Synthesized sub-functions are memoized per call in either polarity.
 
 import "math/bits"
 
@@ -55,9 +65,13 @@ func flipw(w uint64, i int) uint64 {
 // synthW builds the word-encoded function w over n <= 6 leaf signals.
 func (m *MIG) synthW(w uint64, n int, leaves []Signal) Signal {
 	if n > 6 || n != len(leaves) {
-		panic("mig: synthW needs at most six leaves, one per variable")
+		panic("mig: synthesis takes at most six variables, one leaf per variable")
 	}
-	m.synthMemo.reset(n)
+	if m.synthMemo == nil {
+		m.synthMemo = make(map[uint64]Signal, 32)
+	} else {
+		clear(m.synthMemo)
+	}
 	return m.synthRec6(w, n, leaves)
 }
 
@@ -70,7 +84,7 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 	if w == mask {
 		return Const1
 	}
-	memo := m.synthMemo.small
+	memo := m.synthMemo
 	if s, ok := memo[w]; ok {
 		return s
 	}
@@ -142,8 +156,8 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 	if ns == 3 {
 		a, b, c := support[0], support[1], support[2]
 		base := maj3w(varWord(n, a), varWord(n, b), varWord(n, c))
-		// Mirror synthRec: variants flip a (bit 0), b (bit 1), c (bit 2)
-		// and complement the output (bit 3).
+		// Variants flip a (bit 0), b (bit 1), c (bit 2) and complement the
+		// output (bit 3).
 		for variant := 0; variant < 16; variant++ {
 			g := base
 			if variant&1 != 0 {
@@ -177,7 +191,9 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 		}
 	}
 
-	// Top majority decomposition with a literal arm (see synthRec).
+	// Top majority decomposition with a literal arm: f = M(x^p, g, h).
+	// When f0 ⊆ f1, M(x, f1, f0) = x·(f1+f0) + f1·f0 = x·f1 + f0 =
+	// ite(x, f1, f0) = f; symmetrically M(x', f0, f1) when f1 ⊆ f0.
 	{
 		best := -1
 		for _, v := range support {
@@ -207,7 +223,8 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 		}
 	}
 
-	// General Shannon step on the most binate variable.
+	// General Shannon step on the most binate variable (the one whose
+	// cofactors differ the most, to shrink both sides).
 	bestV, bestScore := support[0], -1
 	for _, v := range support {
 		d := bits.OnesCount64((cof0w(w, v) ^ cof1w(w, v)) & mask)

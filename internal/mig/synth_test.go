@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/opt"
 	"repro/internal/tt"
 )
 
@@ -38,6 +39,22 @@ func TestSynthesizeTTCorrect(t *testing.T) {
 			}
 		}
 	}
+}
+
+// SynthesizeTT takes functions of at most six variables and must refuse a
+// larger one loudly rather than mis-synthesize it.
+func TestSynthesizeTTRejectsSevenVars(t *testing.T) {
+	m := New("s")
+	leaves := make([]Signal, 7)
+	for i := range leaves {
+		leaves[i] = m.AddInput("x")
+	}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("SynthesizeTT accepted a 7-variable function")
+		}
+	}()
+	m.SynthesizeTT(randTT(rand.New(rand.NewSource(1)), 7), leaves)
 }
 
 func TestSynthesizeTTSpecialShapes(t *testing.T) {
@@ -134,6 +151,17 @@ func TestRewritePassEquivalenceAndGain(t *testing.T) {
 	}
 }
 
+// booleanSizePipeline interleaves cut-based functional rewriting with one
+// Algorithm 1 cycle per round, best result by (size, depth).
+func booleanSizePipeline(effort int) *opt.Pipeline[*MIG] {
+	return &opt.Pipeline[*MIG]{Passes: []opt.Pass[*MIG]{
+		passCleanup(),
+		opt.Best("boolean-size", effort, betterBySizeDepth, func(cycle int) []opt.Pass[*MIG] {
+			return []opt.Pass[*MIG]{passCutRewrite(), sizeBest(1)}
+		}),
+	}}
+}
+
 func TestOptimizeSizeBooleanBeatsAlgebraicOnXor(t *testing.T) {
 	// An XOR ladder built in redundant form: functional rewriting finds the
 	// compact parity structures that algebra alone struggles with.
@@ -150,9 +178,9 @@ func TestOptimizeSizeBooleanBeatsAlgebraicOnXor(t *testing.T) {
 		acc = m.Or(and1, and2)
 	}
 	m.AddOutput("p", acc)
-	alg := OptimizeSize(m, 3)
-	boo := OptimizeSizeBoolean(m, 3)
-	checkEquiv(t, m, boo, "OptimizeSizeBoolean")
+	alg := runCanned(t, SizePipeline(3), m)
+	boo := runCanned(t, booleanSizePipeline(3), m)
+	checkEquiv(t, m, boo, "boolean size pipeline")
 	if boo.Size() > alg.Size() {
 		t.Errorf("boolean opt (%d) worse than algebraic (%d)", boo.Size(), alg.Size())
 	}

@@ -62,16 +62,18 @@ func WorkersCtx(ctx context.Context) int {
 	return Workers()
 }
 
+// ForEach runs fn(0), ..., fn(n-1) on up to jobs workers; jobs <= 1 runs
+// serially on the calling goroutine. Work items are handed out through a
+// channel, so uneven item costs balance across workers.
+func ForEach(n, jobs int, fn func(i int)) {
+	ForEachCtx(context.Background(), n, jobs, fn)
+}
+
 // ForEachCtx is ForEach that stops handing out work once ctx is cancelled;
 // items already started run to completion (work functions are not
 // interrupted mid-item). Returns ctx.Err() when the sweep was cut short,
 // nil when every item ran.
 func ForEachCtx(ctx context.Context, n, jobs int, fn func(i int)) error {
-	done := ctx.Done()
-	if done == nil {
-		ForEach(n, jobs, fn)
-		return nil
-	}
 	if jobs > n {
 		jobs = n
 	}
@@ -95,6 +97,7 @@ func ForEachCtx(ctx context.Context, n, jobs int, fn func(i int)) error {
 			}
 		}()
 	}
+	done := ctx.Done() // nil for an uncancellable context: never ready
 feed:
 	for i := 0; i < n; i++ {
 		select {
@@ -106,35 +109,4 @@ feed:
 	close(work)
 	wg.Wait()
 	return ctx.Err()
-}
-
-// ForEach runs fn(0), ..., fn(n-1) on up to jobs workers; jobs <= 1 runs
-// serially on the calling goroutine. Work items are handed out through a
-// channel, so uneven item costs balance across workers.
-func ForEach(n, jobs int, fn func(i int)) {
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }

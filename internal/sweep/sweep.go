@@ -1,11 +1,10 @@
-// Package sweep holds the representation-independent core of
-// simulation-guided SAT sweeping, shared by the fraig passes of
-// internal/mig and internal/aig: stimulus construction (random words with
-// counterexample patterns packed into the leading bits) and the
-// partitioning of nodes into candidate equivalence classes by canonical
-// simulation signature. The representation-specific parts — cone CNF
-// encoding, SAT queries, and the dense-remap merge rebuild — stay in the
-// graph packages.
+// Package sweep holds the representation-independent building blocks of
+// simulation-guided SAT sweeping: stimulus construction (random words with
+// counterexample patterns packed into the leading bits), the partitioning
+// of nodes into candidate equivalence classes by canonical simulation
+// signature, per-query cone scratch, and the session counterexample pool.
+// The sweeping engine itself (internal/fraig) and the miter sweep of
+// internal/sat are built from them.
 package sweep
 
 // Pair is one candidate equivalence: Member == Repr XOR Phase on every
@@ -89,64 +88,6 @@ func Rows(nin, words int, rng func() uint64, cexes [][]bool) [][]uint64 {
 		}
 	}
 	return rows
-}
-
-// Verdict is one solved candidate pair.
-type Verdict struct {
-	Proven bool
-	Cex    []bool // refutation input assignment, nil otherwise
-}
-
-// RoundSpec parameterizes one fraig round over a graph representation.
-// Everything representation-specific stays behind the callbacks: Eval is
-// the graph's word-level simulator, Solve decides one candidate pair (a
-// cone-encoded SAT query), ForEach is the parallel driver (the callers
-// pass opt.ForEach bound to their worker budget).
-type RoundSpec struct {
-	NumInputs int
-	NumNodes  int
-	Words     int
-	Rng       func() uint64
-	Eval      func(row []uint64) []uint64
-	Include   func(node int) bool
-	Mergeable func(node int) bool
-	Solve     func(Pair) Verdict
-	ForEach   func(n int, fn func(i int))
-}
-
-// Round runs one simulate–classify–prove iteration and folds the
-// verdicts: subRepr[i] >= 0 means node i proved equal to that
-// representative (XOR subPhase[i]) and should merge; newCex carries the
-// refutation patterns for the next round's stimulus. The caller applies
-// the merges through its representation's rebuild. Deterministic for any
-// ForEach scheduling: the pair list and verdict folding are order-fixed.
-func Round(spec RoundSpec, cexes [][]bool) (subRepr []int32, subPhase []bool, merged int, newCex [][]bool) {
-	rows := Rows(spec.NumInputs, spec.Words, spec.Rng, cexes)
-	sig := make([][]uint64, len(rows))
-	for w, row := range rows {
-		sig[w] = spec.Eval(row)
-	}
-	pairs := Pairs(sig, spec.NumNodes, spec.Include, spec.Mergeable)
-	if len(pairs) == 0 {
-		return nil, nil, 0, nil
-	}
-	verdicts := make([]Verdict, len(pairs))
-	spec.ForEach(len(pairs), func(k int) { verdicts[k] = spec.Solve(pairs[k]) })
-	subRepr = make([]int32, spec.NumNodes)
-	for i := range subRepr {
-		subRepr[i] = -1
-	}
-	subPhase = make([]bool, spec.NumNodes)
-	for k, v := range verdicts {
-		if v.Proven {
-			subRepr[pairs[k].Member] = int32(pairs[k].Repr)
-			subPhase[pairs[k].Member] = pairs[k].Phase
-			merged++
-		} else if v.Cex != nil {
-			newCex = append(newCex, v.Cex)
-		}
-	}
-	return subRepr, subPhase, merged, newCex
 }
 
 // Canon returns the canonical signature key of one node over the first

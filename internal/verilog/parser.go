@@ -140,8 +140,22 @@ func (p *parser) parseModule() (*netlist.Network, error) {
 	var (
 		inputs, outputs []string
 		assigns         []assign
-		isOutput        = map[string]bool{}
+		// port and driven catch a name declared as a port twice and a net
+		// driven twice (or an input driven at all): strict decoding turns
+		// each into an error instead of a silent last-wins choice.
+		port   = map[string]string{}
+		driven = map[string]bool{}
 	)
+	drive := func(lhs string) error {
+		if port[lhs] == "input" {
+			return fmt.Errorf("verilog: assignment to input %q", lhs)
+		}
+		if driven[lhs] {
+			return fmt.Errorf("verilog: net %q assigned twice", lhs)
+		}
+		driven[lhs] = true
+		return nil
+	}
 	gateOps := map[string]netlist.Op{
 		"and": netlist.And, "or": netlist.Or, "nand": netlist.Nand,
 		"nor": netlist.Nor, "xor": netlist.Xor, "xnor": netlist.Xnor,
@@ -159,12 +173,20 @@ func (p *parser) parseModule() (*netlist.Network, error) {
 				if id.kind != "ident" {
 					return nil, fmt.Errorf("verilog: bad %s declaration near %q", t.text, id.text)
 				}
+				if t.text != "wire" {
+					if prev, dup := port[id.text]; dup {
+						return nil, fmt.Errorf("verilog: port %q declared twice (%s, then %s)", id.text, prev, t.text)
+					}
+					port[id.text] = t.text
+					if t.text == "input" && driven[id.text] {
+						return nil, fmt.Errorf("verilog: assignment to input %q", id.text)
+					}
+				}
 				switch t.text {
 				case "input":
 					inputs = append(inputs, id.text)
 				case "output":
 					outputs = append(outputs, id.text)
-					isOutput[id.text] = true
 				}
 				sep := p.next()
 				if sep.text == ";" {
@@ -192,6 +214,9 @@ func (p *parser) parseModule() (*netlist.Network, error) {
 					break
 				}
 				rhs = append(rhs, tk)
+			}
+			if err := drive(lhs.text); err != nil {
+				return nil, err
 			}
 			assigns = append(assigns, assign{lhs: lhs.text, rhs: rhs})
 		case "":
@@ -233,6 +258,9 @@ func (p *parser) parseModule() (*netlist.Network, error) {
 			}
 			if len(args) < min {
 				return nil, fmt.Errorf("verilog: %s instance needs %d+ ports, got %d", t.text, min, len(args))
+			}
+			if err := drive(args[0]); err != nil {
+				return nil, err
 			}
 			assigns = append(assigns, assign{lhs: args[0], gateOp: op, gateArgs: args[1:], isGate: true})
 		}

@@ -23,7 +23,9 @@ import (
 	"repro/internal/netlist"
 )
 
-// Write renders the network as structural Verilog.
+// Write renders the network as structural Verilog. Port names are reserved
+// first, and an internal wire name (w<i>) that a port already holds is
+// renamed by the same uniquifier, so a wire can never capture a port.
 func Write(n *netlist.Network) string {
 	var sb strings.Builder
 	name := n.Name
@@ -71,7 +73,13 @@ func Write(n *netlist.Network) string {
 		switch nd.Op {
 		case netlist.Const0, netlist.Input:
 		default:
+			// Wire names are distinct by construction and renames
+			// (<name>_<k>) never take their form: only a port clash
+			// needs one.
 			wire[i] = fmt.Sprintf("w%d", i)
+			if used[wire[i]] {
+				wire[i] = uniquify(wire[i], used)
+			}
 			wireDecls = append(wireDecls, wire[i])
 		}
 	}

@@ -15,11 +15,6 @@ import (
 	"repro/logic"
 )
 
-// forEach runs fn(0..n-1) on up to jobs workers; jobs <= 1 runs serially.
-// The pool implementation is shared with the parallel-safe passes in
-// internal/opt.
-func forEach(n, jobs int, fn func(i int)) { opt.ForEach(n, jobs, fn) }
-
 // SetWorkers configures the process-wide worker budget parallel-safe
 // passes (window-rewrite, fraig) read when no per-context budget is set —
 // what the CLIs wire -jobs to. Sessions override it per run with
@@ -52,7 +47,7 @@ func parallel3(on bool, a, b, c func()) {
 // field except the wall times is deterministic.
 func RunOptRows(nets []logic.Network, cfg Config, jobs int) []OptRow {
 	rows := make([]OptRow, len(nets))
-	forEach(len(nets), jobs, func(i int) {
+	opt.ForEach(len(nets), jobs, func(i int) {
 		rows[i] = runOptRow(logic.Flat(nets[i]), cfg, jobs > 1)
 	})
 	return rows
@@ -62,7 +57,7 @@ func RunOptRows(nets []logic.Network, cfg Config, jobs int) []OptRow {
 // jobs workers, with the same determinism guarantees as RunOptRows.
 func RunSynthRows(nets []logic.Network, cfg Config, jobs int) []SynthRow {
 	rows := make([]SynthRow, len(nets))
-	forEach(len(nets), jobs, func(i int) {
+	opt.ForEach(len(nets), jobs, func(i int) {
 		rows[i] = runSynthRow(logic.Flat(nets[i]), cfg, jobs > 1)
 	})
 	return rows

@@ -30,7 +30,10 @@ func TestSessionDefaultsMatchCLI(t *testing.T) {
 	net := circuit(t, "b9")
 
 	// The CLI default path, spelled out on the internal engines.
-	want := mig.Optimize(mig.FromNetwork(logic.Flat(net).Remajorize()), 3)
+	want, _, err := mig.FlowPipeline(3).Run(mig.FromNetwork(logic.Flat(net).Remajorize()))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sess, err := logic.NewSession() // zero options
 	if err != nil {

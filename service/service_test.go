@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -200,6 +201,22 @@ func TestBadRequests(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), "HTTP 400") {
 			t.Errorf("%s: err = %v, want HTTP 400", c.name, err)
 		}
+	}
+}
+
+// TestAmbiguousSourceIsBadRequest: a BLIF that drives a signal twice
+// (logic/testdata/dup2.blif) is a client error — HTTP 400 naming the
+// signal and line — not a silently optimized guess.
+func TestAmbiguousSourceIsBadRequest(t *testing.T) {
+	src, err := os.ReadFile("../logic/testdata/dup2.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, client := testServer(t, Config{Workers: 1})
+	_, err = client.Optimize(context.Background(), OptimizeRequest{Format: "blif", Source: string(src)})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 400") ||
+		!strings.Contains(err.Error(), `"f"`) || !strings.Contains(err.Error(), "line 7") {
+		t.Fatalf("err = %v, want HTTP 400 naming f at line 7", err)
 	}
 }
 
