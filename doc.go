@@ -137,8 +137,14 @@
 // "window-rewrite") partitions the live nodes into maximal fanout-free
 // cones, evaluates cut candidates per cone on a worker pool (each worker
 // probes against a private clone), and commits the chosen rewrites in one
-// serial topological rebuild. Results are byte-identical for every worker
-// count; opt.SetWorkers (the CLIs' -jobs flag) sets the process budget and
+// serial topological rebuild. Each worker also owns its scratch — the
+// window remap, sized to the graph once per pass and reset slot by slot
+// after each cone, and the probe buffers — so evaluating a cone costs in
+// proportion to the cone, not the graph, and allocates nothing once warm.
+// Workers claim cones from a shared counter, with the calling goroutine as
+// one of them; a panic in any worker is re-raised on the caller, where
+// migd's per-request recovery turns it into an error response. Results
+// are byte-identical for every worker count; opt.SetWorkers (the CLIs' -jobs flag) sets the process budget and
 // logic.WithWorkers carries a per-session budget through the context, so
 // concurrent server requests do not share one global knob. The pipeline
 // engine, the parallel drivers (opt.ForEachCtx) and the SAT solver's

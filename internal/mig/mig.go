@@ -105,9 +105,9 @@ type MIG struct {
 	// word-level twin for cuts of at most six leaves (synth6.go).
 	fscr cut.FuncScratch
 	wscr wordScratch
-	// synthMemo is the reusable per-call memo of synthW (synth6.go), keyed
-	// by truth-table word.
-	synthMemo map[uint64]Signal
+	// synthMemo is the reusable per-call memo of synthW (synth6.go): the
+	// sub-functions built so far, in build order.
+	synthMemo []synthEntry
 }
 
 // New returns an empty MIG containing only the constant node.
@@ -389,25 +389,7 @@ func (m *MIG) Clone() *MIG {
 
 // Cleanup rebuilds the MIG dropping dead nodes. Returns the compacted MIG.
 func (m *MIG) Cleanup() *MIG {
-	out := New(m.Name)
-	remap := make([]Signal, len(m.nodes))
-	for idx, in := range m.inputs {
-		remap[in] = out.AddInput(m.names[idx])
-	}
-	live := m.LiveMask()
-	for i, nd := range m.nodes {
-		if !live[i] || nd.kind != kindMaj {
-			continue
-		}
-		a := remap[nd.fanin[0].Node()].NotIf(nd.fanin[0].Neg())
-		b := remap[nd.fanin[1].Node()].NotIf(nd.fanin[1].Neg())
-		c := remap[nd.fanin[2].Node()].NotIf(nd.fanin[2].Neg())
-		remap[i] = out.Maj(a, b, c)
-	}
-	for _, o := range m.Outputs {
-		out.AddOutput(o.Name, remap[o.Sig.Node()].NotIf(o.Sig.Neg()))
-	}
-	return out
+	return m.rebuildWith(func(out *MIG, _ int, a, b, c Signal) Signal { return out.Maj(a, b, c) })
 }
 
 // FanoutCounts returns, for every node, the number of live references to it

@@ -157,3 +157,19 @@ func benchWindowRewrite(b *testing.B, jobs int) {
 func BenchmarkWindowRewriteJobs1(b *testing.B) { benchWindowRewrite(b, 1) }
 func BenchmarkWindowRewriteJobs4(b *testing.B) { benchWindowRewrite(b, 4) }
 func BenchmarkWindowRewriteJobs8(b *testing.B) { benchWindowRewrite(b, 8) }
+
+// benchRewriteNPN measures the exact NPN rewriting pass on the same circuit
+// and worker counts as benchWindowRewrite.
+func benchRewriteNPN(b *testing.B, jobs int) {
+	m := benchMIG(b, "s38417")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := m.NPNRewritePass(4, 5, jobs); out.Size() == 0 {
+			b.Fatal("empty result")
+		}
+	}
+}
+
+func BenchmarkRewriteNPNJobs1(b *testing.B) { benchRewriteNPN(b, 1) }
+func BenchmarkRewriteNPNJobs2(b *testing.B) { benchRewriteNPN(b, 2) }

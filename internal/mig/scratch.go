@@ -76,8 +76,7 @@ func takeSignals(n int, fill Signal) *[]Signal {
 	s = s[:n]
 	// Fill by doubling copies: copy runs at memmove speed, and unlike a
 	// scalar store loop its throughput does not depend on where the linker
-	// places this function (rewrite-npn calls it once per window, over the
-	// whole graph).
+	// places this function.
 	if n > 0 {
 		s[0] = fill
 		for done := 1; done < n; done *= 2 {

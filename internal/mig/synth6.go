@@ -67,12 +67,20 @@ func (m *MIG) synthW(w uint64, n int, leaves []Signal) Signal {
 	if n > 6 || n != len(leaves) {
 		panic("mig: synthesis takes at most six variables, one leaf per variable")
 	}
-	if m.synthMemo == nil {
-		m.synthMemo = make(map[uint64]Signal, 32)
-	} else {
-		clear(m.synthMemo)
-	}
+	m.synthMemo = m.synthMemo[:0]
 	return m.synthRec6(w, n, leaves)
+}
+
+// synthEntry is one memoized sub-function of a synthW call.
+type synthEntry struct {
+	w uint64
+	s Signal
+}
+
+// memoize records s as the implementation of w and returns it.
+func (m *MIG) memoize(w uint64, s Signal) Signal {
+	m.synthMemo = append(m.synthMemo, synthEntry{w, s})
+	return s
 }
 
 func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
@@ -84,12 +92,17 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 	if w == mask {
 		return Const1
 	}
-	memo := m.synthMemo
-	if s, ok := memo[w]; ok {
-		return s
+	// The recursion is at most six variables deep, so a call memoizes few
+	// sub-functions and a linear scan beats hashing.
+	for _, e := range m.synthMemo {
+		if e.w == w {
+			return e.s
+		}
 	}
-	if s, ok := memo[^w&mask]; ok {
-		return s.Not()
+	for _, e := range m.synthMemo {
+		if e.w == ^w&mask {
+			return e.s.Not()
+		}
 	}
 
 	// Support.
@@ -108,11 +121,9 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 		v := support[0]
 		s := leaves[v]
 		if w == varWord(n, v) {
-			memo[w] = s
-			return s
+			return m.memoize(w, s)
 		}
-		memo[w] = s.Not()
-		return s.Not()
+		return m.memoize(w, s.Not())
 	}
 
 	// Two-literal AND/OR/XOR shapes.
@@ -131,24 +142,20 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 				switch w {
 				case la & lb:
 					s := m.And(leaves[a].NotIf(pa), leaves[b].NotIf(pb))
-					memo[w] = s
-					return s
+					return m.memoize(w, s)
 				case la | lb:
 					s := m.Or(leaves[a].NotIf(pa), leaves[b].NotIf(pb))
-					memo[w] = s
-					return s
+					return m.memoize(w, s)
 				}
 			}
 		}
 		if w == wa^wb {
 			s := m.Xor(leaves[a], leaves[b])
-			memo[w] = s
-			return s
+			return m.memoize(w, s)
 		}
 		if w == ^(wa^wb)&mask {
 			s := m.Xor(leaves[a], leaves[b]).Not()
-			memo[w] = s
-			return s
+			return m.memoize(w, s)
 		}
 	}
 
@@ -178,16 +185,14 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 					leaves[b].NotIf(variant&2 != 0),
 					leaves[c].NotIf(variant&4 != 0),
 				).NotIf(variant&8 != 0)
-				memo[w] = s
-				return s
+				return m.memoize(w, s)
 			}
 		}
 		// Three-input parity.
 		par := varWord(n, a) ^ varWord(n, b) ^ varWord(n, c)
 		if w == par || w == ^par&mask {
 			s := m.Xor(m.Xor(leaves[a], leaves[b]), leaves[c]).NotIf(w == ^par&mask)
-			memo[w] = s
-			return s
+			return m.memoize(w, s)
 		}
 	}
 
@@ -218,8 +223,7 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 				h := m.synthRec6(f1, n, leaves)
 				s = m.Maj(leaves[v].Not(), g, h)
 			}
-			memo[w] = s
-			return s
+			return m.memoize(w, s)
 		}
 	}
 
@@ -239,8 +243,7 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 	x := leaves[bestV]
 	// f = (x' + f1)(x + f0) = M(M(x', f1, 1), M(x, f0, 1), 0).
 	s := m.And(m.Or(x.Not(), g1), m.Or(x, g0))
-	memo[w] = s
-	return s
+	return m.memoize(w, s)
 }
 
 // wordScratch is the epoch-stamped memo of word-level cone walks.

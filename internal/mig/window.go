@@ -146,22 +146,26 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 	if jobs < 1 {
 		jobs = 1
 	}
-	workers := make(chan winWorker, jobs)
+	workers := make(chan *winWorker, jobs)
 	for w := 0; w < jobs; w++ {
 		if w == 0 && jobs == 1 {
 			// A serial run can probe on m itself: every probe is rolled
 			// back and freedBy restores the reference counts exactly, so
 			// both the graph and refs are unchanged on return.
-			workers <- winWorker{cl: m, refs: refs}
+			workers <- newWinWorker(m, refs)
 		} else {
-			workers <- winWorker{cl: m.Clone(), refs: append([]int(nil), refs...)}
+			workers <- newWinWorker(m.Clone(), append([]int(nil), refs...))
 		}
 	}
-	if err := opt.ForEachCtx(ctx, len(windows), jobs, func(wi int) {
+	err := opt.ForEachCtx(ctx, len(windows), jobs, func(wi int) {
 		wk := <-workers
-		wk.cl.evalWindow(windows[wi], cuts, choices, npn, wk.refs)
+		wk.evalWindow(windows[wi], cuts, choices, npn)
 		workers <- wk
-	}); err != nil {
+	})
+	for w := 0; w < jobs; w++ {
+		(<-workers).release()
+	}
+	if err != nil {
 		return m, err
 	}
 
@@ -214,12 +218,29 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 	return out, nil
 }
 
-// winWorker pairs a worker-private clone with a worker-private copy of the
-// input graph's fanout counts. freedBy mutates refs transiently (and
-// restores it exactly), so sharing one slice across workers would race.
+// winWorker is the private state of one evaluation worker: a clone of the
+// input graph, a copy of its fanout counts (freedBy mutates refs
+// transiently and restores it exactly, so sharing one slice across workers
+// would race), and the scratch every window reuses. remap spans the input
+// graph's nodes and is all badSignal between windows: evalWindow resets
+// exactly the slots it set, so a window costs in proportion to its own
+// size, never to the graph's.
 type winWorker struct {
-	cl   *MIG
-	refs []int
+	cl                *MIG
+	refs              []int
+	remap             *[]Signal // pooled
+	fs                freedScratch
+	leafBuf, bestSigs []Signal
+}
+
+func newWinWorker(cl *MIG, refs []int) *winWorker {
+	return &winWorker{cl: cl, refs: refs, remap: takeSignals(len(cl.nodes), badSignal)}
+}
+
+// release returns the worker's remap to the pool.
+func (wk *winWorker) release() {
+	releaseSignals(wk.remap)
+	wk.remap = nil
 }
 
 // freedScratch holds the reusable traversal buffers of freedBy so the
@@ -312,20 +333,24 @@ func (cl *MIG) freedBy(i int, s Signal, leaves []int32, refs []int, fs *freedScr
 }
 
 // evalWindow probes the cut candidates of every node of one window against
-// the worker's private clone cl and records the winning choices. cl is
-// rolled back to its entry state before returning, so the next window on
-// this worker sees the unmodified input graph. cuts is the (read-only) cut
-// cache of the original graph; node indices are identical in the clone.
-// refs is the worker-private fanout-count copy backing the freed-node
-// credit of the net-gain scoring.
-func (cl *MIG) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice, npn bool, refs []int) {
+// the worker's private clone and records the winning choices. The clone is
+// rolled back to its entry state and the remap cleared before returning,
+// so the next window on this worker sees the unmodified input graph. cuts
+// is the (read-only) cut cache of the original graph; node indices are
+// identical in the clone. The worker's refs back the freed-node credit of
+// the net-gain scoring.
+func (wk *winWorker) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice, npn bool) {
+	cl, refs, fs := wk.cl, wk.refs, &wk.fs
 	wcp := cl.checkpoint()
 	// Window-local remap: nodes of this window already rewritten, so later
 	// window nodes are costed against the structure they will actually
-	// have.
-	wp := takeSignals(len(cl.nodes), badSignal)
-	wremap := *wp
-	defer releaseSignals(wp)
+	// have. It is only ever indexed by input-graph nodes (window fanins and
+	// cut leaves): it is sized to the input graph, so a probe-built node
+	// reaching it fails the bounds check instead of going unnoticed.
+	wremap := *wk.remap
+	if wcp != len(wremap) {
+		panic("mig: window worker's clone is not the input graph")
+	}
 	remapped := func(s Signal) Signal {
 		if r := wremap[s.Node()]; r != badSignal {
 			return r.NotIf(s.Neg())
@@ -333,8 +358,7 @@ func (cl *MIG) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice,
 		return s
 	}
 
-	var leafBuf, bestSigs []Signal
-	var fs freedScratch
+	leafBuf, bestSigs := wk.leafBuf, wk.bestSigs
 	for _, i := range window {
 		a := remapped(cl.nodes[i].fanin[0])
 		b := remapped(cl.nodes[i].fanin[1])
@@ -370,7 +394,7 @@ func (cl *MIG) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice,
 			s := cl.synthW(w, len(leafBuf), leafBuf)
 			added := len(cl.nodes) - cp
 			level := cl.Level(s)
-			net := added - cl.freedBy(i, s, leaves, refs, &fs)
+			net := added - cl.freedBy(i, s, leaves, refs, fs)
 			cl.rollback(cp)
 			if net < bestNet || (net == bestNet && level < bestLevel) {
 				bestW, bestN = w, len(leafBuf)
@@ -384,7 +408,7 @@ func (cl *MIG) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice,
 				s := cl.synthNPN(w, len(leafBuf), leafBuf)
 				added := len(cl.nodes) - cp
 				level := cl.Level(s)
-				net := added - cl.freedBy(i, s, leaves, refs, &fs)
+				net := added - cl.freedBy(i, s, leaves, refs, fs)
 				cl.rollback(cp)
 				if net < bestNet || (net == bestNet && level < bestLevel) {
 					bestW, bestN = w, len(leafBuf)
@@ -406,5 +430,9 @@ func (cl *MIG) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice,
 			wremap[i] = cl.Maj(a, b, c)
 		}
 	}
+	for _, i := range window {
+		wremap[i] = badSignal
+	}
+	wk.leafBuf, wk.bestSigs = leafBuf, bestSigs
 	cl.rollback(wcp)
 }

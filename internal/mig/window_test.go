@@ -142,3 +142,29 @@ func TestWindowRewriteScriptArgBounds(t *testing.T) {
 		t.Fatal("k=1 must be rejected")
 	}
 }
+
+// Window evaluation runs on worker-owned scratch: once one sweep has grown
+// every buffer, evaluating a window allocates nothing. This keeps a
+// per-window full-graph slice from creeping back into the hot loop.
+func TestEvalWindowAllocationPin(t *testing.T) {
+	m := migFor(t, "b9")
+	cuts := m.CutSet(4, 5)
+	windows := m.Windows()
+	choices := make([]windowChoice, m.NumNodes())
+	wk := newWinWorker(m.Clone(), m.FanoutCounts())
+	defer wk.release()
+	sweep := func() {
+		for _, w := range windows {
+			wk.evalWindow(w, cuts, choices, true)
+		}
+	}
+	sweep() // warm: grow the clone, its strash and the worker's buffers
+	if got := testing.AllocsPerRun(5, sweep) / float64(len(windows)); got != 0 {
+		t.Errorf("warm window evaluation allocates %.3f per window, want 0", got)
+	}
+	for i, s := range *wk.remap {
+		if s != badSignal {
+			t.Fatalf("remap slot %d left set after its window", i)
+		}
+	}
+}

@@ -3,8 +3,10 @@ package opt
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunContextCancelsBetweenPasses(t *testing.T) {
@@ -95,13 +97,36 @@ func TestBestAbortsOnCancel(t *testing.T) {
 }
 
 func TestForEachCtx(t *testing.T) {
-	// Uncancellable context: all items run.
-	var n atomic.Int64
-	if err := ForEachCtx(context.Background(), 100, 4, func(int) { n.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 100 {
-		t.Fatalf("ran %d items", n.Load())
+	// Uncancellable context: every index runs exactly once, with at most
+	// jobs calls in flight at any moment.
+	for _, n := range []int{0, 1, 7, 1000} {
+		for _, jobs := range []int{1, 2, 3, 8} {
+			counts := make([]atomic.Int32, n)
+			var active, peak atomic.Int32
+			err := ForEachCtx(context.Background(), n, jobs, func(i int) {
+				cur := active.Add(1)
+				for {
+					p := peak.Load()
+					if cur <= p || peak.CompareAndSwap(p, cur) {
+						break
+					}
+				}
+				counts[i].Add(1)
+				runtime.Gosched()
+				active.Add(-1)
+			})
+			if err != nil {
+				t.Fatalf("n=%d jobs=%d: %v", n, jobs, err)
+			}
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("n=%d jobs=%d: index %d ran %d times", n, jobs, i, c)
+				}
+			}
+			if p := peak.Load(); int(p) > jobs {
+				t.Fatalf("n=%d jobs=%d: %d calls ran at once", n, jobs, p)
+			}
+		}
 	}
 	// Cancel mid-sweep: the sweep stops early and reports the error.
 	for _, jobs := range []int{1, 4} {
@@ -121,6 +146,39 @@ func TestForEachCtx(t *testing.T) {
 	}
 }
 
+// A panic in a worker is re-raised on the calling goroutine with its
+// original value, after every worker has stopped.
+func TestForEachCtxPanicPropagates(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var ran atomic.Int64
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		ForEachCtx(context.Background(), 1000, 4, func(i int) {
+			ran.Add(1)
+			if i == 37 {
+				panic("boom at 37")
+			}
+			time.Sleep(50 * time.Microsecond)
+		})
+		return nil
+	}()
+	if got != "boom at 37" {
+		t.Fatalf("recovered %v, want the worker's panic value", got)
+	}
+	if ran.Load() == 1000 {
+		t.Fatal("the sweep kept handing out work after the panic")
+	}
+	// Workers have returned before ForEachCtx re-panics; give their
+	// goroutines a moment to be reaped.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, %d before the sweep", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestContextWithWorkers(t *testing.T) {
 	if got := WorkersCtx(context.Background()); got != Workers() {
 		t.Fatalf("fallback = %d, want process budget %d", got, Workers())
@@ -132,4 +190,19 @@ func TestContextWithWorkers(t *testing.T) {
 	if got := WorkersCtx(ContextWithWorkers(context.Background(), -3)); got != 1 {
 		t.Fatalf("clamped budget = %d", got)
 	}
+}
+
+// BenchmarkForEachCtx measures the per-item dispatch overhead of the
+// worker pool: 100k no-op items at two workers.
+func BenchmarkForEachCtx(b *testing.B) {
+	const items = 100_000
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ForEachCtx(ctx, items, 2, func(int) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/item")
 }

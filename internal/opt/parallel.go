@@ -63,8 +63,12 @@ func WorkersCtx(ctx context.Context) int {
 }
 
 // ForEach runs fn(0), ..., fn(n-1) on up to jobs workers; jobs <= 1 runs
-// serially on the calling goroutine. Work items are handed out through a
-// channel, so uneven item costs balance across workers.
+// serially on the calling goroutine. Otherwise the calling goroutine is one
+// of the workers, and each worker claims the next unstarted index from a
+// shared counter, so uneven item costs balance across workers. A panic in
+// fn stops the sweep: no further items start, the items in flight finish,
+// and the first panic value is re-raised on the calling goroutine, where
+// the caller's recover sees it.
 func ForEach(n, jobs int, fn func(i int)) {
 	ForEachCtx(context.Background(), n, jobs, fn)
 }
@@ -86,27 +90,45 @@ func ForEachCtx(ctx context.Context, n, jobs int, fn func(i int)) error {
 		}
 		return nil
 	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
+	var (
+		next      atomic.Int64
+		stop      atomic.Bool
+		panicOnce sync.Once
+		panicVal  any
+		wg        sync.WaitGroup
+	)
+	done := ctx.Done() // nil for an uncancellable context: never ready
+	work := func() {
+		defer func() {
+			if r := recover(); r != nil {
+				panicOnce.Do(func() { panicVal = r })
+				stop.Store(true)
 			}
 		}()
-	}
-	done := ctx.Done() // nil for an uncancellable context: never ready
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case work <- i:
-		case <-done:
-			break feed
+		for !stop.Load() {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
 		}
 	}
-	close(work)
+	wg.Add(jobs - 1)
+	for w := 1; w < jobs; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
 	return ctx.Err()
 }
