@@ -147,18 +147,24 @@ func main() {
 			p.K, p.Cut, mig, aig, p.PartitionSeconds, p.StitchSeconds)
 	}
 
-	// The first trace step carries the input MIG's metrics, so the
-	// before/after line costs no extra graph construction. An empty
-	// trace (-opt none) means the output IS the unoptimized MIG.
-	before := fmt.Sprintf("size=%d depth=%d activity=%.2f",
+	// "before" describes the input MIG the optimizer starts from. The
+	// first trace step carries its metrics, so the line costs no extra
+	// graph construction, and an empty trace (-opt none) means the output
+	// IS that MIG. A partitioned run's trace starts inside window p0, so
+	// there the input is converted as Session.Optimize converts it.
+	after := fmt.Sprintf("size=%d depth=%d activity=%.2f",
 		optimized.Size(), optimized.Depth(), optimized.Activity(nil))
-	if len(res.Trace) > 0 {
+	before := after
+	switch {
+	case res.Partition != nil:
+		in := logic.ToMIG(net.Remajorize())
+		before = fmt.Sprintf("size=%d depth=%d activity=%.2f", in.Size(), in.Depth(), in.Activity(nil))
+	case len(res.Trace) > 0:
 		st := res.Trace[0]
 		before = fmt.Sprintf("size=%d depth=%d activity=%.2f",
 			st.SizeBefore, st.DepthBefore, st.ActivityBefore)
 	}
-	fmt.Fprintf(os.Stderr, "mighty: %s: %s -> size=%d depth=%d activity=%.2f\n",
-		net.Name(), before, optimized.Size(), optimized.Depth(), optimized.Activity(nil))
+	fmt.Fprintf(os.Stderr, "mighty: %s: %s -> %s\n", net.Name(), before, after)
 
 	if *stats {
 		return

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/logic"
+	"repro/logic/bench"
 )
 
 // buildMighty compiles the command into a temporary directory.
@@ -70,5 +71,41 @@ func TestClashingPortNamesRoundTrip(t *testing.T) {
 	}
 	if !res.Equivalent {
 		t.Fatalf("round trip changed the circuit (%s):\n%s", res.Detail, written)
+	}
+}
+
+// TestPartitionedHeadlineReportsInput: the "before" half of the summary
+// line describes the input, so a partitioned run must print what the
+// unpartitioned -opt none run prints, not the metrics of window p0.
+func TestPartitionedHeadlineReportsInput(t *testing.T) {
+	bin := buildMighty(t)
+	src, err := logic.Encode(bench.Mesh(5000), logic.FormatBLIF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "mesh5000.blif")
+	if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := func(args ...string) string {
+		t.Helper()
+		args = append([]string{"-in", in, "-stats", "-verify", "none"}, args...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("mighty %v: %v\n%s", args, err, out)
+		}
+		const prefix = "mighty: mesh5000: "
+		for _, line := range strings.Split(string(out), "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				b, _, _ := strings.Cut(rest, " -> ")
+				return b
+			}
+		}
+		t.Fatalf("mighty %v printed no summary line:\n%s", args, out)
+		return ""
+	}
+	want := before("-opt", "none")
+	if got := before("-partition", "8", "-effort", "1"); got != want {
+		t.Fatalf("partitioned run reports input %q, want %q", got, want)
 	}
 }

@@ -102,9 +102,13 @@
 //
 //   - Structural hashing (strash) is an open-addressing hash table
 //     (internal/hashed) keyed on packed fanin signals, with linear probing
-//     over power-of-two capacities and tombstone-free backward-shift
-//     deletion. Rollback-heavy candidate probing (checkpoint, build, roll
-//     back) deletes as often as it inserts; deletion is value-guarded
+//     over power-of-two capacities; each key shares one slot with its
+//     value, so a probe reads one cache line. The MIG Ω/Ψ passes price
+//     every candidate by lookup alone (against an overlay of at most
+//     three virtual nodes) and build only the winner. The window engine,
+//     cut-rewrite, the activity pass and the AIG passes still probe by
+//     building and rolling back, which the table serves with
+//     tombstone-free backward-shift deletion; deletion is value-guarded
 //     (DeleteAbove), so a rollback can never evict a surviving node's
 //     entry, and graph Clone is a flat slice copy.
 //   - Every old→new remap of the topological rebuilds is a dense []Signal

@@ -3,12 +3,15 @@
 // internal/aig). The tables map small fixed-width signal tuples to dense
 // node indices and are tuned for the graph workloads:
 //
-//   - open addressing with linear probing over power-of-two capacities, so
-//     lookups touch one or two cache lines instead of chasing the buckets
-//     of a built-in map;
-//   - tombstone-free deletion by backward shifting: rollback-heavy probing
-//     (checkpoint, build candidate, roll back) deletes as often as it
-//     inserts, and tombstones would degrade every later probe;
+//   - open addressing with linear probing over power-of-two capacities,
+//     each key stored next to its value in one slot (16 bytes for Table3),
+//     so a lookup usually reads a single cache line instead of chasing the
+//     buckets of a built-in map;
+//   - tombstone-free deletion by backward shifting: the callers that still
+//     probe by building and rolling back (the MIG window engine,
+//     cut-rewrite and activity passes, and the AIG passes) delete as often
+//     as they insert, and tombstones would degrade every later probe. The
+//     MIG Ω/Ψ passes price candidates with Get alone;
 //   - value-guarded deletion (DeleteAbove), so a rollback can never evict a
 //     surviving node's entry even if a caller passes a stale key;
 //   - O(1) cloning cost proportional to capacity (flat slice copies), which
@@ -51,10 +54,16 @@ func hash3(k [3]uint32) uint64 {
 	return mix64(mix64(uint64(k[0])<<32|uint64(k[1])) + uint64(k[2])*0x9e3779b97f4a7c15)
 }
 
+// slot3 is one Table3 entry: key and value share a 16-byte slot, so a
+// probe reads one cache line (v == 0 marks the slot empty).
+type slot3 struct {
+	k [3]uint32
+	v int32
+}
+
 // Table3 maps [3]uint32 keys to positive int32 values.
 type Table3 struct {
-	keys  [][3]uint32
-	vals  []int32
+	slots []slot3
 	count int
 }
 
@@ -66,13 +75,13 @@ func (t *Table3) Get(k [3]uint32) (int32, bool) {
 	if t.count == 0 {
 		return 0, false
 	}
-	mask := uint64(len(t.vals) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := hash3(k) & mask; ; i = (i + 1) & mask {
-		if t.vals[i] == 0 {
+		if t.slots[i].v == 0 {
 			return 0, false
 		}
-		if t.keys[i] == k {
-			return t.vals[i], true
+		if t.slots[i].k == k {
+			return t.slots[i].v, true
 		}
 	}
 }
@@ -82,19 +91,18 @@ func (t *Table3) Put(k [3]uint32, v int32) {
 	if v <= 0 {
 		panic("hashed: Table3 values must be positive")
 	}
-	if len(t.vals) == 0 || (t.count+1)*growDen >= len(t.vals)*growNum {
+	if len(t.slots) == 0 || (t.count+1)*growDen >= len(t.slots)*growNum {
 		t.grow()
 	}
-	mask := uint64(len(t.vals) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := hash3(k) & mask; ; i = (i + 1) & mask {
-		if t.vals[i] == 0 {
-			t.keys[i] = k
-			t.vals[i] = v
+		if t.slots[i].v == 0 {
+			t.slots[i] = slot3{k, v}
 			t.count++
 			return
 		}
-		if t.keys[i] == k {
-			t.vals[i] = v
+		if t.slots[i].k == k {
+			t.slots[i].v = v
 			return
 		}
 	}
@@ -110,32 +118,31 @@ func (t *Table3) DeleteAbove(k [3]uint32, limit int32) bool {
 	if t.count == 0 {
 		return false
 	}
-	mask := uint64(len(t.vals) - 1)
+	mask := uint64(len(t.slots) - 1)
 	i := hash3(k) & mask
 	for {
-		if t.vals[i] == 0 {
+		if t.slots[i].v == 0 {
 			return false
 		}
-		if t.keys[i] == k {
+		if t.slots[i].k == k {
 			break
 		}
 		i = (i + 1) & mask
 	}
-	if t.vals[i] < limit {
+	if t.slots[i].v < limit {
 		return false
 	}
 	// Backward-shift deletion: close the probe cluster without tombstones.
-	t.vals[i] = 0
+	t.slots[i].v = 0
 	t.count--
 	j := i
-	for k := (i + 1) & mask; t.vals[k] != 0; k = (k + 1) & mask {
-		home := hash3(t.keys[k]) & mask
+	for k := (i + 1) & mask; t.slots[k].v != 0; k = (k + 1) & mask {
+		home := hash3(t.slots[k].k) & mask
 		// Move k into the hole at j unless k's home lies strictly inside
 		// (j, k] on the probe circle (in which case k is still reachable).
 		if (k-home)&mask >= (k-j)&mask {
-			t.keys[j] = t.keys[k]
-			t.vals[j] = t.vals[k]
-			t.vals[k] = 0
+			t.slots[j] = t.slots[k]
+			t.slots[k].v = 0
 			j = k
 		}
 	}
@@ -148,7 +155,7 @@ func (t *Table3) Reserve(n int) {
 	for need*growNum <= n*growDen {
 		need <<= 1
 	}
-	if need > len(t.vals) {
+	if need > len(t.slots) {
 		t.rehash(need)
 	}
 }
@@ -156,53 +163,52 @@ func (t *Table3) Reserve(n int) {
 // Clone returns a deep copy sharing no storage with t.
 func (t *Table3) Clone() Table3 {
 	return Table3{
-		keys:  append([][3]uint32(nil), t.keys...),
-		vals:  append([]int32(nil), t.vals...),
+		slots: append([]slot3(nil), t.slots...),
 		count: t.count,
 	}
 }
 
 // Reset removes all entries, keeping the capacity for reuse.
 func (t *Table3) Reset() {
-	for i := range t.vals {
-		t.vals[i] = 0
-	}
+	clear(t.slots)
 	t.count = 0
 }
 
 func (t *Table3) grow() {
 	newCap := minCap
-	if len(t.vals) > 0 {
-		newCap = len(t.vals) * 2
+	if len(t.slots) > 0 {
+		newCap = len(t.slots) * 2
 	}
 	t.rehash(newCap)
 }
 
 func (t *Table3) rehash(newCap int) {
-	oldKeys, oldVals := t.keys, t.vals
-	t.keys = make([][3]uint32, newCap)
-	t.vals = make([]int32, newCap)
+	old := t.slots
+	t.slots = make([]slot3, newCap)
 	mask := uint64(newCap - 1)
-	for i, v := range oldVals {
-		if v == 0 {
+	for _, e := range old {
+		if e.v == 0 {
 			continue
 		}
-		k := oldKeys[i]
-		for j := hash3(k) & mask; ; j = (j + 1) & mask {
-			if t.vals[j] == 0 {
-				t.keys[j] = k
-				t.vals[j] = v
+		for j := hash3(e.k) & mask; ; j = (j + 1) & mask {
+			if t.slots[j].v == 0 {
+				t.slots[j] = e
 				break
 			}
 		}
 	}
 }
 
+// slot2 is one Table2 entry (12 bytes), laid out like slot3.
+type slot2 struct {
+	k [2]uint32
+	v int32
+}
+
 // Table2 maps [2]uint32 keys to positive int32 values. It is Table3 for
 // two-element keys (the AIG strash).
 type Table2 struct {
-	keys  [][2]uint32
-	vals  []int32
+	slots []slot2
 	count int
 }
 
@@ -214,13 +220,13 @@ func (t *Table2) Get(k [2]uint32) (int32, bool) {
 	if t.count == 0 {
 		return 0, false
 	}
-	mask := uint64(len(t.vals) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := hash2(k) & mask; ; i = (i + 1) & mask {
-		if t.vals[i] == 0 {
+		if t.slots[i].v == 0 {
 			return 0, false
 		}
-		if t.keys[i] == k {
-			return t.vals[i], true
+		if t.slots[i].k == k {
+			return t.slots[i].v, true
 		}
 	}
 }
@@ -230,19 +236,18 @@ func (t *Table2) Put(k [2]uint32, v int32) {
 	if v <= 0 {
 		panic("hashed: Table2 values must be positive")
 	}
-	if len(t.vals) == 0 || (t.count+1)*growDen >= len(t.vals)*growNum {
+	if len(t.slots) == 0 || (t.count+1)*growDen >= len(t.slots)*growNum {
 		t.grow()
 	}
-	mask := uint64(len(t.vals) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := hash2(k) & mask; ; i = (i + 1) & mask {
-		if t.vals[i] == 0 {
-			t.keys[i] = k
-			t.vals[i] = v
+		if t.slots[i].v == 0 {
+			t.slots[i] = slot2{k, v}
 			t.count++
 			return
 		}
-		if t.keys[i] == k {
-			t.vals[i] = v
+		if t.slots[i].k == k {
+			t.slots[i].v = v
 			return
 		}
 	}
@@ -257,29 +262,28 @@ func (t *Table2) DeleteAbove(k [2]uint32, limit int32) bool {
 	if t.count == 0 {
 		return false
 	}
-	mask := uint64(len(t.vals) - 1)
+	mask := uint64(len(t.slots) - 1)
 	i := hash2(k) & mask
 	for {
-		if t.vals[i] == 0 {
+		if t.slots[i].v == 0 {
 			return false
 		}
-		if t.keys[i] == k {
+		if t.slots[i].k == k {
 			break
 		}
 		i = (i + 1) & mask
 	}
-	if t.vals[i] < limit {
+	if t.slots[i].v < limit {
 		return false
 	}
-	t.vals[i] = 0
+	t.slots[i].v = 0
 	t.count--
 	j := i
-	for k := (i + 1) & mask; t.vals[k] != 0; k = (k + 1) & mask {
-		home := hash2(t.keys[k]) & mask
+	for k := (i + 1) & mask; t.slots[k].v != 0; k = (k + 1) & mask {
+		home := hash2(t.slots[k].k) & mask
 		if (k-home)&mask >= (k-j)&mask {
-			t.keys[j] = t.keys[k]
-			t.vals[j] = t.vals[k]
-			t.vals[k] = 0
+			t.slots[j] = t.slots[k]
+			t.slots[k].v = 0
 			j = k
 		}
 	}
@@ -292,7 +296,7 @@ func (t *Table2) Reserve(n int) {
 	for need*growNum <= n*growDen {
 		need <<= 1
 	}
-	if need > len(t.vals) {
+	if need > len(t.slots) {
 		t.rehash(need)
 	}
 }
@@ -300,42 +304,36 @@ func (t *Table2) Reserve(n int) {
 // Clone returns a deep copy sharing no storage with t.
 func (t *Table2) Clone() Table2 {
 	return Table2{
-		keys:  append([][2]uint32(nil), t.keys...),
-		vals:  append([]int32(nil), t.vals...),
+		slots: append([]slot2(nil), t.slots...),
 		count: t.count,
 	}
 }
 
 // Reset removes all entries, keeping the capacity for reuse.
 func (t *Table2) Reset() {
-	for i := range t.vals {
-		t.vals[i] = 0
-	}
+	clear(t.slots)
 	t.count = 0
 }
 
 func (t *Table2) grow() {
 	newCap := minCap
-	if len(t.vals) > 0 {
-		newCap = len(t.vals) * 2
+	if len(t.slots) > 0 {
+		newCap = len(t.slots) * 2
 	}
 	t.rehash(newCap)
 }
 
 func (t *Table2) rehash(newCap int) {
-	oldKeys, oldVals := t.keys, t.vals
-	t.keys = make([][2]uint32, newCap)
-	t.vals = make([]int32, newCap)
+	old := t.slots
+	t.slots = make([]slot2, newCap)
 	mask := uint64(newCap - 1)
-	for i, v := range oldVals {
-		if v == 0 {
+	for _, e := range old {
+		if e.v == 0 {
 			continue
 		}
-		k := oldKeys[i]
-		for j := hash2(k) & mask; ; j = (j + 1) & mask {
-			if t.vals[j] == 0 {
-				t.keys[j] = k
-				t.vals[j] = v
+		for j := hash2(e.k) & mask; ; j = (j + 1) & mask {
+			if t.slots[j].v == 0 {
+				t.slots[j] = e
 				break
 			}
 		}

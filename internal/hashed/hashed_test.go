@@ -123,12 +123,12 @@ func TestTable3CloneIndependent(t *testing.T) {
 func TestTable3Reserve(t *testing.T) {
 	var tb Table3
 	tb.Reserve(1000)
-	capBefore := len(tb.vals)
+	capBefore := len(tb.slots)
 	for i := int32(1); i <= 1000; i++ {
 		tb.Put([3]uint32{uint32(i), 0, 0}, i)
 	}
-	if len(tb.vals) != capBefore {
-		t.Fatalf("table rehashed despite Reserve: %d -> %d", capBefore, len(tb.vals))
+	if len(tb.slots) != capBefore {
+		t.Fatalf("table rehashed despite Reserve: %d -> %d", capBefore, len(tb.slots))
 	}
 }
 

@@ -174,54 +174,10 @@ func (m *MIG) Level(s Signal) int { return int(m.nodes[s.Node()].level) }
 //     rewrites the node so at most one fanin is complemented, complementing
 //     the output instead.
 func (m *MIG) Maj(a, b, c Signal) Signal {
-	// Ω.M: pairs of equal or complementary fanins.
-	if a == b {
+	a, b, c, outNeg, folded := canonMaj(a, b, c)
+	if folded {
 		return a
 	}
-	if a == b.Not() {
-		return c
-	}
-	if a == c {
-		return a
-	}
-	if a == c.Not() {
-		return b
-	}
-	if b == c {
-		return b
-	}
-	if b == c.Not() {
-		return a
-	}
-
-	// Ω.I normalization: keep at most one complemented fanin.
-	neg := 0
-	if a.Neg() {
-		neg++
-	}
-	if b.Neg() {
-		neg++
-	}
-	if c.Neg() {
-		neg++
-	}
-	outNeg := false
-	if neg >= 2 {
-		a, b, c = a.Not(), b.Not(), c.Not()
-		outNeg = true
-	}
-
-	// Ω.C: sort fanins.
-	if a > b {
-		a, b = b, a
-	}
-	if b > c {
-		b, c = c, b
-	}
-	if a > b {
-		a, b = b, a
-	}
-
 	key := [3]uint32{uint32(a), uint32(b), uint32(c)}
 	if idx, ok := m.strash.Get(key); ok {
 		return MakeSignal(int(idx), outNeg)
@@ -237,6 +193,46 @@ func (m *MIG) Maj(a, b, c Signal) Signal {
 	m.nodes = append(m.nodes, node{fanin: [3]Signal{a, b, c}, level: lv + 1, kind: kindMaj})
 	m.strash.Put(key, int32(idx))
 	return MakeSignal(idx, outNeg)
+}
+
+// canonMaj applies Maj's canonicalization to M(a, b, c). When Ω.M folds the
+// node, folded is set and a is the result. Otherwise a < b < c are the
+// fanins of the canonical node and outNeg complements its output.
+func canonMaj(a, b, c Signal) (Signal, Signal, Signal, bool, bool) {
+	// Ω.M: pairs of equal or complementary fanins.
+	switch {
+	case a == b:
+		return a, 0, 0, false, true
+	case a == b.Not():
+		return c, 0, 0, false, true
+	case a == c:
+		return a, 0, 0, false, true
+	case a == c.Not():
+		return b, 0, 0, false, true
+	case b == c:
+		return b, 0, 0, false, true
+	case b == c.Not():
+		return a, 0, 0, false, true
+	}
+
+	// Ω.I normalization: keep at most one complemented fanin.
+	outNeg := false
+	if (a&1)+(b&1)+(c&1) >= 2 {
+		a, b, c = a.Not(), b.Not(), c.Not()
+		outNeg = true
+	}
+
+	// Ω.C: sort fanins.
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b, c = c, b
+	}
+	if a > b {
+		a, b = b, a
+	}
+	return a, b, c, outNeg, false
 }
 
 // And returns a AND b, built as M(a, b, 0).

@@ -378,7 +378,7 @@ func TestReplaceInConeSoundness(t *testing.T) {
 		}
 		z := MakeSignal(1+r.Intn(m.NumNodes()-1), r.Intn(2) == 0)
 		orig := m.Maj(x, y, z)
-		nz := m.replaceInCone(z, x, y.Not(), 2+r.Intn(4))
+		nz := m.replaceInCone(nil, z, x, y.Not(), 2+r.Intn(4))
 		repl := m.Maj(x, y, nz)
 		m.Outputs = nil
 		m.AddOutput("a", orig)

@@ -12,15 +12,17 @@ package mig
 // exchanges that prefer node constructions whose output probability is far
 // from 0.5.
 //
-// All passes are implemented as topological rebuilds: candidates are probed
-// with checkpoint/rollback and the best construction is committed. Every
-// pass preserves functional equivalence (the rules are the paper's sound Ω/Ψ
+// All passes are implemented as topological rebuilds. The size and depth
+// passes price every candidate by strash lookup (price) and build only the
+// winner; the activity pass still probes with checkpoint/rollback, since
+// its cost needs the built nodes' probabilities. Every pass preserves
+// functional equivalence (the rules are the paper's sound Ω/Ψ
 // transformations) — this is verified extensively in the tests.
 
-// candidate describes a probed local construction. Instead of capturing a
-// rebuild closure (which escapes to the heap on every probe), a candidate
-// records its shape and parameter signals; buildCand re-materializes it.
-// This keeps the probing inner loop allocation-free.
+// candidate describes a local construction. Instead of capturing a rebuild
+// closure (which escapes to the heap on every probe), a candidate records
+// its shape and parameter signals; buildCand walks it, either building it
+// or pricing it. This keeps the pricing inner loop allocation-free.
 type candidate struct {
 	shape  candShape
 	sig    [5]Signal
@@ -44,30 +46,45 @@ const (
 	shapeRelevance
 )
 
-// buildCand constructs the candidate in the MIG and returns its signal.
-func (m *MIG) buildCand(c *candidate) Signal {
+// buildCand constructs the candidate in the MIG and returns its signal, or,
+// with a non-nil o, only prices it over o (see overlay).
+func (m *MIG) buildCand(o *overlay, c *candidate) Signal {
 	switch c.shape {
 	case shapeMaj:
-		return m.Maj(c.sig[0], c.sig[1], c.sig[2])
+		return m.maj(o, c.sig[0], c.sig[1], c.sig[2])
 	case shapeNested:
-		return m.Maj(c.sig[0], c.sig[1], m.Maj(c.sig[2], c.sig[3], c.sig[4]))
+		return m.maj(o, c.sig[0], c.sig[1], m.maj(o, c.sig[2], c.sig[3], c.sig[4]))
 	case shapeDist:
-		return m.Maj(m.Maj(c.sig[0], c.sig[1], c.sig[2]), m.Maj(c.sig[0], c.sig[1], c.sig[3]), c.sig[4])
+		return m.maj(o, m.maj(o, c.sig[0], c.sig[1], c.sig[2]), m.maj(o, c.sig[0], c.sig[1], c.sig[3]), c.sig[4])
 	case shapeRelevance:
-		nz := m.replaceInCone(c.sig[2], c.sig[0], c.sig[1].Not(), c.window)
-		return m.Maj(c.sig[0], c.sig[1], nz)
+		nz := m.replaceInCone(o, c.sig[2], c.sig[0], c.sig[1].Not(), c.window)
+		return m.maj(o, c.sig[0], c.sig[1], nz)
 	}
 	panic("mig: unknown candidate shape")
 }
 
-// probeCand evaluates the candidate without committing it, filling in its
-// cost fields.
-func (m *MIG) probeCand(c *candidate) {
-	cp := m.checkpoint()
-	s := m.buildCand(c)
-	c.added = len(m.nodes) - cp
-	c.level = m.Level(s)
-	m.rollback(cp)
+// anyAdded is the pricing budget of the fixed shapes: none adds more than
+// three nodes.
+const anyAdded = 3
+
+// checkPrice, when set, is called after every price. Tests use it to
+// compare the lookup-only cost with a real build.
+var checkPrice func(m *MIG, c candidate, budget int, ok bool)
+
+// price reports whether building c would add at most budget nodes
+// (budget <= 3) and, if so, fills c.added and c.level with the node count
+// and level that build would give, without touching the graph.
+func (m *MIG) price(c *candidate, budget int) bool {
+	o := overlay{base: len(m.nodes), max: budget}
+	s := m.buildCand(&o, c)
+	ok := !o.spent
+	if ok {
+		c.added, c.level = o.n, int(m.levelIn(&o, s))
+	}
+	if checkPrice != nil {
+		checkPrice(m, *c, budget, ok)
+	}
+	return ok
 }
 
 // better reports whether a beats b under (primary, secondary) ordering.
@@ -120,7 +137,7 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 	}
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
-		out.probeCand(&def)
+		out.price(&def, anyAdded)
 		best := def
 		within := func(cand *candidate) bool {
 			return required == nil || cand.level <= required[oldIdx]
@@ -165,7 +182,7 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 					}
 					// M(x, y, M(u, v, r)).
 					cand := candidate{shape: shapeNested, sig: [5]Signal{x, y, u, v, r}}
-					out.probeCand(&cand)
+					out.price(&cand, anyAdded)
 					if within(&cand) && betterSize(&cand, &best) {
 						best = cand
 					}
@@ -177,21 +194,21 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 		tryDist(b, c, a, oldF[1], oldF[2])
 
 		// Ψ.R: M(x, y, z) = M(x, y, z_{x/y'}) — accept only when strictly
-		// fewer nodes are created than the default construction.
-		if window > 0 {
+		// fewer nodes are created than the default construction, so none
+		// can win when the default node already exists.
+		if window > 0 && def.added > 0 {
 			for _, perm := range relevanceCandidates(a, b, c) {
 				x, y, z := perm[0], perm[1], perm[2]
 				if !out.coneContains(z, x, window) {
 					continue
 				}
 				cand := candidate{shape: shapeRelevance, sig: [5]Signal{x, y, z}, window: window}
-				out.probeCand(&cand)
-				if within(&cand) && cand.added < def.added && betterSize(&cand, &best) {
+				if out.price(&cand, def.added-1) && within(&cand) && betterSize(&cand, &best) {
 					best = cand
 				}
 			}
 		}
-		return out.buildCand(&best)
+		return out.buildCand(nil, &best)
 	})
 }
 
@@ -203,7 +220,7 @@ func (m *MIG) PushUpPass(allowInflate bool) *MIG {
 	crit := m.criticalMask()
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
-		out.probeCand(&def)
+		out.price(&def, anyAdded)
 		best := def
 
 		fan := [3]Signal{a, b, c}
@@ -242,7 +259,7 @@ func (m *MIG) PushUpPass(allowInflate bool) *MIG {
 						y := gf[3-k-zi]
 						// M(z, u, M(y, u, x)).
 						cand := candidate{shape: shapeNested, sig: [5]Signal{z, u, y, u, x}}
-						out.probeCand(&cand)
+						out.price(&cand, anyAdded)
 						if betterDepth(&cand, &best) {
 							best = cand
 						}
@@ -264,7 +281,7 @@ func (m *MIG) PushUpPass(allowInflate bool) *MIG {
 					z := gf[(k+2)%3]
 					// M(x, u, M(y, x, z)).
 					cand := candidate{shape: shapeNested, sig: [5]Signal{x, u, y, x, z}}
-					out.probeCand(&cand)
+					out.price(&cand, anyAdded)
 					if betterDepth(&cand, &best) {
 						best = cand
 					}
@@ -276,7 +293,7 @@ func (m *MIG) PushUpPass(allowInflate bool) *MIG {
 					for _, w := range [][2]Signal{{y, z}, {z, y}} {
 						// M(w0, x, M(w1, x, u)).
 						cand2 := candidate{shape: shapeNested, sig: [5]Signal{w[0], x, w[1], x, u}}
-						out.probeCand(&cand2)
+						out.price(&cand2, anyAdded)
 						if betterDepth(&cand2, &best) {
 							best = cand2
 						}
@@ -300,13 +317,13 @@ func (m *MIG) PushUpPass(allowInflate bool) *MIG {
 				u := gf[(zi+1)%3]
 				v := gf[(zi+2)%3]
 				cand := candidate{shape: shapeDist, sig: [5]Signal{t1, t2, u, v, z}}
-				out.probeCand(&cand)
+				out.price(&cand, anyAdded)
 				if cand.level < def.level && betterDepth(&cand, &best) {
 					best = cand
 				}
 			}
 		}
-		return out.buildCand(&best)
+		return out.buildCand(nil, &best)
 	})
 }
 
@@ -316,7 +333,7 @@ func (m *MIG) PushUpPass(allowInflate bool) *MIG {
 func (m *MIG) ReshapePass(window int, aggressive bool) *MIG {
 	res := m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
-		out.probeCand(&def)
+		out.price(&def, anyAdded)
 		best := def
 		for _, perm := range relevanceCandidates(a, b, c) {
 			x, y, z := perm[0], perm[1], perm[2]
@@ -324,15 +341,12 @@ func (m *MIG) ReshapePass(window int, aggressive bool) *MIG {
 				continue
 			}
 			cand := candidate{shape: shapeRelevance, sig: [5]Signal{x, y, z}, window: window}
-			out.probeCand(&cand)
 			// Accept sharing-increasing or level-reducing exchanges.
-			if cand.added <= def.added && (cand.added < def.added || cand.level < def.level) {
-				if betterSize(&cand, &best) {
-					best = cand
-				}
+			if out.price(&cand, def.added) && (cand.added < def.added || cand.level < def.level) && betterSize(&cand, &best) {
+				best = cand
 			}
 		}
-		return out.buildCand(&best)
+		return out.buildCand(nil, &best)
 	})
 	if !aggressive {
 		return res
@@ -478,7 +492,7 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		evalAct := func(c *candidate) float64 {
 			cp := out.checkpoint()
-			s := out.buildCand(c)
+			s := out.buildCand(nil, c)
 			c.added = len(out.nodes) - cp
 			act := localActivity(out, cp, s)
 			out.rollback(cp)
@@ -510,7 +524,7 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 				best, bestAct = cand, act
 			}
 		}
-		s := out.buildCand(&best)
+		s := out.buildCand(nil, &best)
 		extend(out)
 		return s
 	})

@@ -2,9 +2,11 @@ package mig
 
 // Rewrite infrastructure. Optimization passes rebuild the MIG node by node
 // in topological order, applying local transformation rules from the Ω and Ψ
-// systems while the new graph is constructed. Candidate constructions are
-// probed with checkpoint/rollback so a pass can pick the cheapest of several
-// functionally equivalent local structures.
+// systems while the new graph is constructed. The Ω/Ψ passes price each of
+// several functionally equivalent local structures by strash lookup against
+// a virtual overlay and build only the cheapest; the window engine,
+// cut-rewrite and the activity pass still probe by building and rolling
+// back (checkpoint/rollback).
 
 // checkpoint returns a token for rollback.
 func (m *MIG) checkpoint() int { return len(m.nodes) }
@@ -27,6 +29,68 @@ func (m *MIG) rollback(cp int) {
 	if m.cutCache != nil {
 		m.cutCache.Truncate(cp)
 	}
+}
+
+// overlay lets a construction be priced without building it. The nodes it
+// would add live here as virtual nodes, numbered from base exactly as Maj
+// would number them, so canonical keys, Ω.M folds and levels come out as a
+// real build gives them. At most max nodes (up to len(keys)) are admitted;
+// one more spends the overlay, and every later lookup fails.
+type overlay struct {
+	base, n, max int
+	spent        bool
+	keys         [3][3]uint32
+	level        [3]int32
+}
+
+// maj is Maj when o is nil and its lookup-only form over o otherwise, so
+// one construction walk serves both building and pricing.
+func (m *MIG) maj(o *overlay, a, b, c Signal) Signal {
+	if o == nil {
+		return m.Maj(a, b, c)
+	}
+	return m.peek(o, a, b, c)
+}
+
+// peek returns the signal Maj(a, b, c) would return, recording a virtual
+// node in o where Maj would create one. It returns badSignal once o is
+// spent.
+func (m *MIG) peek(o *overlay, a, b, c Signal) Signal {
+	if o.spent {
+		return badSignal
+	}
+	a, b, c, outNeg, folded := canonMaj(a, b, c)
+	if folded {
+		return a
+	}
+	key := [3]uint32{uint32(a), uint32(b), uint32(c)}
+	// A key with a virtual fanin (c is the largest) cannot be in the strash.
+	if c.Node() < o.base {
+		if idx, ok := m.strash.Get(key); ok {
+			return MakeSignal(int(idx), outNeg)
+		}
+	}
+	for i := 0; i < o.n; i++ {
+		if o.keys[i] == key {
+			return MakeSignal(o.base+i, outNeg)
+		}
+	}
+	if o.n == o.max {
+		o.spent = true
+		return badSignal
+	}
+	o.keys[o.n] = key
+	o.level[o.n] = max(m.levelIn(o, a), m.levelIn(o, b), m.levelIn(o, c)) + 1
+	o.n++
+	return MakeSignal(o.base+o.n-1, outNeg)
+}
+
+// levelIn is the level of s, which may be a virtual node of o.
+func (m *MIG) levelIn(o *overlay, s Signal) int32 {
+	if v := s.Node() - o.base; v >= 0 {
+		return o.level[v]
+	}
+	return m.nodes[s.Node()].level
 }
 
 // rebuildFunc constructs (in out) the replacement for the old node oldIdx
@@ -111,12 +175,17 @@ func (m *MIG) criticalMask() []bool {
 // structural hashing for sharing. An epoch-stamped dense memo (the MIG's
 // scratch) keeps the traversal linear in the cone size without allocating;
 // memoization across different residual depths can only cause fewer
-// occurrences to be replaced, which remains sound.
-func (m *MIG) replaceInCone(root, from, to Signal, depth int) Signal {
-	return m.replaceRec(root, from, to, depth, m.scr.begin(len(m.nodes)))
+// occurrences to be replaced, which remains sound. With a non-nil o the
+// walk only prices the rebuild (see overlay) and stops at the first node
+// past o's budget; the result is then meaningless and o is spent.
+func (m *MIG) replaceInCone(o *overlay, root, from, to Signal, depth int) Signal {
+	return m.replaceRec(o, root, from, to, depth, m.scr.begin(len(m.nodes)))
 }
 
-func (m *MIG) replaceRec(root, from, to Signal, depth int, memo *scratch) Signal {
+func (m *MIG) replaceRec(o *overlay, root, from, to Signal, depth int, memo *scratch) Signal {
+	if o != nil && o.spent {
+		return badSignal
+	}
 	if root == from {
 		return to
 	}
@@ -136,14 +205,14 @@ func (m *MIG) replaceRec(root, from, to Signal, depth int, memo *scratch) Signal
 	if !ok {
 		return root
 	}
-	na := m.replaceRec(a, from, to, depth-1, memo)
-	nb := m.replaceRec(b, from, to, depth-1, memo)
-	nc := m.replaceRec(c, from, to, depth-1, memo)
+	na := m.replaceRec(o, a, from, to, depth-1, memo)
+	nb := m.replaceRec(o, b, from, to, depth-1, memo)
+	nc := m.replaceRec(o, c, from, to, depth-1, memo)
 	var res Signal
 	if na == a && nb == b && nc == c {
 		res = pos
 	} else {
-		res = m.Maj(na, nb, nc)
+		res = m.maj(o, na, nb, nc)
 	}
 	memo.put(root.Node(), res)
 	return res.NotIf(root.Neg())
@@ -195,8 +264,8 @@ func relevanceCandidates(x, y, z Signal) [][3]Signal {
 // replacing variable v by u (and u') in the cone of root, bounded by depth.
 // The result is functionally equal to root for any choice of u and v.
 func (m *MIG) SubstituteVar(root, v, u Signal, depth int) Signal {
-	kU := m.replaceInCone(root, v, u, depth)
-	kUn := m.replaceInCone(root, v, u.Not(), depth)
+	kU := m.replaceInCone(nil, root, v, u, depth)
+	kUn := m.replaceInCone(nil, root, v, u.Not(), depth)
 	left := m.Maj(v.Not(), kU, u)
 	right := m.Maj(v.Not(), kUn, u.Not())
 	return m.Maj(v, left, right)

@@ -48,13 +48,17 @@ type Config struct {
 	AIGScript string
 }
 
-// PartStat reports one window's optimization.
+// PartStat reports one window's optimization (logic.PartitionStat).
 type PartStat struct {
-	Part    int `json:"part"`
+	// Part is the window's partition index.
+	Part int `json:"part"`
+	// Gates/Inputs/Outputs describe the extracted window (inputs count
+	// boundary signals lifted to window PIs).
 	Gates   int `json:"gates"`
 	Inputs  int `json:"inputs"`
 	Outputs int `json:"outputs"`
-	// Rep is the representation that won the window: "mig" or "aig".
+	// Rep is the representation whose candidate won the window under the
+	// run's objective: "mig" or "aig".
 	Rep string `json:"rep"`
 	// Size/Depth are measured on the window's netlist export before and
 	// after optimization (the common currency of the two candidates).
@@ -70,10 +74,10 @@ type PartStat struct {
 	AIGSeconds float64 `json:"aig_seconds"`
 }
 
-// Report describes one partitioned run.
+// Report describes one partitioned run (logic.PartitionReport).
 type Report struct {
-	// K is the effective partition count; Cut the (λ-1) connectivity of
-	// the cut.
+	// K is the effective partition count (the requested k, clamped so
+	// parts stay optimizable); Cut the (λ-1) connectivity of the cut.
 	K   int   `json:"k"`
 	Cut int64 `json:"cut"`
 	// Parts reports each non-empty window in partition order.

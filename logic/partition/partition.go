@@ -125,14 +125,5 @@ func Optimize(ctx context.Context, n logic.Network, cfg Config) (*logic.Netlist,
 	if err != nil {
 		return nil, nil, err
 	}
-	report := &logic.PartitionReport{
-		K:                rep.K,
-		Cut:              rep.Cut,
-		PartitionSeconds: rep.PartitionSeconds,
-		StitchSeconds:    rep.StitchSeconds,
-	}
-	for _, p := range rep.Parts {
-		report.Parts = append(report.Parts, logic.PartitionStat(p))
-	}
-	return logic.FromNetlist(out), report, nil
+	return logic.FromNetlist(out), rep, nil
 }

@@ -291,7 +291,7 @@ func (s *Session) optimizePartitioned(ctx context.Context, net Network) (Network
 	} else {
 		result = &MIG{g: mig.FromNetwork(out)}
 	}
-	return result, fromPartReport(rep), fromTrace(rep.Steps), nil
+	return result, rep, fromTrace(rep.Steps), nil
 }
 
 // optimizeMIG builds and runs the MIG pipeline for this configuration.
